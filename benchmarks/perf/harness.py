@@ -169,13 +169,18 @@ def _make_timed_trace(count: int, seed: int, slo: float = 2.0, spacing: float = 
 
 def _build_scheduler(
     incremental: bool,
-    unconstrained: bool = True,
-    canvas_structure: str = "skyline",
-    **scheduler_kwargs,
+    gpu_memory_gb: float = 1e6,
+    **knobs,
 ):
+    """A bench scheduler; ``knobs`` are :class:`SchedulerOptions` fields.
+
+    The default ``gpu_memory_gb`` lifts the memory constraint: a deep
+    queue needs room, so patches use a huge SLO and no invocation happens
+    mid-benchmark.
+    """
     from repro.core.latency import LatencyEstimator
+    from repro.core.options import SchedulerOptions
     from repro.core.scheduler import TangramScheduler
-    from repro.core.stitching import PatchStitchingSolver
     from repro.serverless.platform import ServerlessPlatform
     from repro.simulation.engine import Simulator
     from repro.simulation.random_streams import RandomStreams
@@ -187,21 +192,16 @@ def _build_scheduler(
     estimator = LatencyEstimator(
         latency_model=latency_model, iterations=50, streams=RandomStreams(5)
     )
-    if unconstrained:
-        # A deep queue needs room: patches use a huge SLO and the memory
-        # constraint is lifted so no invocation happens mid-benchmark.
-        scheduler_kwargs.setdefault("gpu_memory_gb", 1e6)
     scheduler = TangramScheduler(
         simulator,
         platform,
-        solver=PatchStitchingSolver(canvas_structure=canvas_structure),
         estimator=estimator,
         latency_model=latency_model,
         streams=RandomStreams(6),
+        gpu_memory_gb=gpu_memory_gb,
         model_memory_gb=2.5,
         canvas_memory_gb=0.35,
-        incremental=incremental,
-        **scheduler_kwargs,
+        options=SchedulerOptions(incremental=incremental, **knobs),
     )
     return simulator, scheduler
 
@@ -550,7 +550,6 @@ def _bench_scheduler_stream(
     patches = _make_timed_trace(2048, seed=31)
     simulator, scheduler = _build_scheduler(
         True,
-        unconstrained=False,
         gpu_memory_gb=60.0,
         canvas_structure=canvas_structure,
         **scheduler_kwargs,
@@ -696,6 +695,7 @@ def bench_end_to_end_fleet() -> BenchResult:
     """A 64-camera fleet sharing one fat uplink, running the fleet-scale
     scheduler configuration (size-class index + canvas-scope re-packs).
     Trace generation is untimed and cached across repeats."""
+    from repro.core.options import SchedulerOptions
     from repro.pipeline.endtoend import EndToEndConfig, run_end_to_end
     from repro.simulation.random_streams import RandomStreams
     from repro.workloads import build_camera_traces
@@ -709,7 +709,7 @@ def bench_end_to_end_fleet() -> BenchResult:
         strategy="tangram",
         bandwidth_mbps=400.0,
         slo=2.0,
-        scheduler_repack_scope="canvas",
+        scheduler_options=SchedulerOptions(repack_scope="canvas"),
     )
     start = time.perf_counter()
     result = run_end_to_end(config, _FLEET_TRACES, streams=RandomStreams(77))
@@ -740,7 +740,6 @@ def _fleet_scenario_config():
             slo=1.0,
             seed=7,
         ),
-        repack_scope="canvas",
         estimator_iterations=100,
     )
 
@@ -753,7 +752,12 @@ def _bench_fleet_scenario(name: str, with_faults: bool) -> BenchResult:
     the robustness gates are stated over (zero escaped errors, delivered
     stream efficiency >= 0.95 of fault-free, shed+expired bounded by the
     injected-fault fraction + 5%)."""
-    from repro.fleet import FaultPlan, camera_ids, run_fleet_scenario
+    from repro.fleet import (
+        FaultPlan,
+        ShardScenarioConfig,
+        camera_ids,
+        run_sharded_scenario,
+    )
 
     config = _fleet_scenario_config()
     plan = None
@@ -768,7 +772,7 @@ def _bench_fleet_scenario(name: str, with_faults: bool) -> BenchResult:
             burst_multiplier=2.0,
         )
     start = time.perf_counter()
-    result = run_fleet_scenario(config, plan)
+    result = run_sharded_scenario(ShardScenarioConfig(base=config, shards=1), plan).fleet
     elapsed = time.perf_counter() - start
     return BenchResult(
         name,
@@ -844,27 +848,18 @@ def _bench_sharded_fleet(name: str, shards: int) -> BenchResult:
     a uniform fleet would deploy with; consistent hashing's 225-281
     camera spread leaves ~1.5x on the slowest shard).
     """
-    from repro.fleet import ShardScenarioConfig, run_fleet_scenario, run_sharded_scenario
+    from repro.fleet import ShardScenarioConfig, run_sharded_scenario
 
     config = _sharded_fleet_config()
     plan = _sharded_fleet_plan(config)
     start = time.perf_counter()
-    if shards == 1:
-        result = run_fleet_scenario(config, plan)
-        fleet = result
-        critical_path = result.scheduler_compute_seconds
-        shard_cameras = [config.workload.num_cameras]
-        routing: Dict[str, int] = {}
-    else:
-        sharded = run_sharded_scenario(
-            ShardScenarioConfig(base=config, shards=shards, dispatch="least_loaded"),
-            plan,
-        )
-        fleet = sharded.fleet
-        critical_path = sharded.critical_path_seconds
-        shard_cameras = sharded.shard_cameras
-        routing = sharded.routing
+    sharded = run_sharded_scenario(
+        ShardScenarioConfig(base=config, shards=shards, dispatch="least_loaded"),
+        plan,
+    )
     elapsed = time.perf_counter() - start
+    fleet = sharded.fleet
+    critical_path = sharded.critical_path_seconds
     violation_rate = (
         fleet.slo_violations / fleet.completed_patches if fleet.completed_patches else 0.0
     )
@@ -874,7 +869,7 @@ def _bench_sharded_fleet(name: str, shards: int) -> BenchResult:
         {
             "num_cameras": config.workload.num_cameras,
             "shards": shards,
-            "shard_cameras": shard_cameras,
+            "shard_cameras": sharded.shard_cameras,
             "completed_patches": fleet.completed_patches,
             "scheduler_compute_seconds": round(fleet.scheduler_compute_seconds, 4),
             "critical_path_seconds": round(critical_path, 4),
@@ -885,7 +880,7 @@ def _bench_sharded_fleet(name: str, shards: int) -> BenchResult:
             "delivered_fraction": round(fleet.delivered_fraction, 4),
             "mean_canvas_efficiency": round(fleet.mean_canvas_efficiency, 4),
             "errors": fleet.errors,
-            "routing": routing,
+            "routing": sharded.routing,
         },
     )
 

@@ -26,6 +26,7 @@ import time
 
 from repro.analysis.tables import format_table
 from repro.core.consolidation import CONSOLIDATION_POLICIES
+from repro.core.options import SchedulerOptions
 from repro.pipeline.endtoend import EndToEndConfig, run_end_to_end
 from repro.simulation.random_streams import RandomStreams
 from repro.workloads import build_camera_traces
@@ -54,8 +55,7 @@ def run_policies(
             strategy="tangram",
             bandwidth_mbps=bandwidth_mbps,
             slo=slo,
-            scheduler_repack_scope="canvas",
-            scheduler_consolidation=policy,
+            scheduler_options=SchedulerOptions(repack_scope="canvas", consolidation=policy),
         )
         start = time.perf_counter()
         result = run_end_to_end(config, traces, streams=RandomStreams(77))

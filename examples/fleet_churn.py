@@ -26,10 +26,12 @@ import argparse
 from repro.analysis.tables import format_table
 from repro.fleet import (
     FaultPlan,
+    FleetRunResult,
     FleetScenarioConfig,
     FleetWorkloadConfig,
+    ShardScenarioConfig,
     camera_ids,
-    run_fleet_scenario,
+    run_sharded_scenario,
 )
 
 
@@ -40,7 +42,8 @@ def build_config(
     patches_per_frame: int = 2,
     estimator_iterations: int = 100,
 ) -> FleetScenarioConfig:
-    """The fleet scenario: one bounded uplink + retry chain per camera."""
+    """The fleet scenario: one bounded uplink + retry chain per camera,
+    and the fleet's default canvas-scope ``"memo"`` scheduler."""
     return FleetScenarioConfig(
         workload=FleetWorkloadConfig(
             num_cameras=num_cameras,
@@ -51,8 +54,6 @@ def build_config(
             seed=7,
         ),
         bandwidth_mbps=40.0,
-        repack_scope="canvas",
-        consolidation="memo",
         estimator_iterations=estimator_iterations,
     )
 
@@ -70,11 +71,14 @@ def build_churn_plan(
     )
 
 
+def run_fleet(config: FleetScenarioConfig, plan: FaultPlan | None = None) -> FleetRunResult:
+    """One run of the single-scheduler fleet (the runner at ``shards=1``)."""
+    return run_sharded_scenario(ShardScenarioConfig(base=config, shards=1), plan).fleet
+
+
 def run_pair(config: FleetScenarioConfig, plan: FaultPlan):
     """Run the fault-free baseline and the churn scenario."""
-    baseline = run_fleet_scenario(config)
-    churn = run_fleet_scenario(config, plan)
-    return baseline, churn
+    return run_fleet(config), run_fleet(config, plan)
 
 
 def main() -> None:
@@ -125,7 +129,7 @@ def main() -> None:
 
     # The whole fault cascade is seeded: a second churn run must agree
     # counter-for-counter with the first.
-    replay = run_fleet_scenario(config, plan)
+    replay = run_fleet(config, plan)
     identical = replay.counters() == churn.counters()
     print(f"\nReplay with the same seed identical: {identical}")
     print("Every undelivered patch is accounted: suppressed at capture, "

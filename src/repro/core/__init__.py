@@ -19,7 +19,7 @@
 * :mod:`repro.core.consolidation` -- the overflow-consolidation
   subsystem: the victim efficiency heap, the retry backoff, and the
   pluggable ``repack`` / ``memo`` / ``merge`` policies behind the
-  ``consolidation=`` knob.
+  ``SchedulerOptions.consolidation`` knob.
 * :mod:`repro.core.latency` -- the latency estimator (offline profiling,
   slack = mean + 3 sigma).
 * :mod:`repro.core.scheduler` -- the online SLO-aware batching invoker that

@@ -19,10 +19,8 @@ pluggable.
   current failure streak — probe bookkeeping only, cleared on reset);
 * dispatch to a :class:`ConsolidationPolicy`.
 
-Three policies implement the trial (the ``consolidation=`` knob on
-:class:`~repro.core.stitching.IncrementalStitcher`,
-:class:`~repro.core.scheduler.TangramScheduler`, and both experiment
-configs):
+Three policies implement the trial (the ``consolidation`` field of
+:class:`~repro.core.options.SchedulerOptions`):
 
 ``"repack"``
     PR 2/3 behaviour, extracted verbatim: batch re-pack the victims'

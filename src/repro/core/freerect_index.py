@@ -33,8 +33,8 @@ rebuild runs when stale entries outnumber live ones 3:1, so memory stays
 proportional to the live pool.
 
 At fleet scale the per-rectangle shape has a sibling: the canvas
-admission index (:mod:`repro.core.canvas_index`, the ``canvas_index=``
-knob) keeps one capability summary per *canvas* instead, trading this
+admission index (:mod:`repro.core.canvas_index`, the ``canvas_index``
+option) keeps one capability summary per *canvas* instead, trading this
 module's score-ordered bucket scan for vectorised canvas admission and
 O(1)-per-mutation maintenance.  Each wins somewhere — the per-rectangle
 buckets' lower-bound early exit stays stronger on crop-heavy mixes

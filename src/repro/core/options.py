@@ -1,30 +1,14 @@
 """One frozen options object for every scheduler/stitcher knob.
 
-The online path grew its knobs one PR at a time — ``incremental=``,
-``repack_scope=``, ``consolidation=``, ``canvas_index=``,
-``adaptive_budget=``, ``admission_watermark=``, … — and each of them was
-hand-plumbed through four layers (:class:`~repro.core.stitching.
-IncrementalStitcher` / :class:`~repro.core.scheduler.TangramScheduler` /
-:class:`~repro.core.tangram.TangramConfig` / :class:`repro.pipeline.
-endtoend.EndToEndConfig`).  That was tolerable for one scheduler; the
-sharded fleet frontend (:mod:`repro.fleet.shard`) constructs *N*
-schedulers that must agree on every knob, which is exactly the situation
-a single immutable options object exists for: build one
-:class:`SchedulerOptions`, clone it per worker, done.
-
-Back-compat contract
---------------------
-The per-knob keyword arguments on the constructors remain as a thin
-layer over this object: an explicitly passed kwarg overrides the
-corresponding field of ``options=``, and omitting both yields the same
-defaults as before.  ``tests/test_scheduler_options.py`` pins the
-equivalence byte-for-byte.
-
-The one exception is ``use_index=``, superseded by ``canvas_index=``
-(PR 5's canvas admission index): passing it explicitly still works but
-now emits a :class:`DeprecationWarning`.  Setting the
-:attr:`SchedulerOptions.use_index` *field* does not warn — the options
-object is the supported carrier for the legacy A/B arms.
+:class:`SchedulerOptions` is the only way to configure the online path:
+it is passed as ``options=`` to :class:`~repro.core.stitching.
+IncrementalStitcher` and :class:`~repro.core.scheduler.TangramScheduler`,
+and carried as ``scheduler_options`` by :class:`~repro.core.tangram.
+TangramConfig`, :class:`repro.pipeline.endtoend.EndToEndConfig` and
+:class:`repro.fleet.scenario.FleetScenarioConfig`.  The record is frozen,
+so the sharded fleet frontend (:mod:`repro.fleet.shard`) hands the same
+instance to every worker and all of them agree on every knob by
+construction.  Derive a variant with :meth:`SchedulerOptions.replace`.
 """
 
 from __future__ import annotations
@@ -37,67 +21,87 @@ from typing import Optional
 from repro.core.canvas import CANVAS_STRUCTURES
 from repro.core.consolidation import CONSOLIDATION_POLICIES
 
-#: Sentinel distinguishing "kwarg not passed" from any real value, so the
-#: constructors can tell an explicit override apart from the default.
-UNSET = object()
-
 #: Overflow re-pack scopes of the incremental stitcher.
 REPACK_SCOPES = ("queue", "canvas")
 
 
 @dataclass(frozen=True)
 class SchedulerOptions:
-    """Every scheduler/stitcher knob, in one immutable, cloneable record.
+    """Every scheduler/stitcher knob, in one immutable record.
 
-    Defaults are exactly the historical per-kwarg defaults, so
-    ``SchedulerOptions()`` reproduces an unconfigured scheduler.  See the
-    matching parameters on :class:`~repro.core.scheduler.TangramScheduler`
-    and :class:`~repro.core.stitching.IncrementalStitcher` for the full
-    per-knob documentation.
+    ``SchedulerOptions()`` is the unconfigured scheduler.  Knobs marked
+    *canvas scope* only matter with ``repack_scope="canvas"``; knobs
+    marked *fast path* only matter with ``incremental=True``.
     """
 
-    #: Incremental fast path (live packing + heap deadlines) vs the
-    #: literal Algorithm 2 full re-pack per arrival.
+    #: Incremental fast path: the queue's packing stays alive across
+    #: arrivals in an :class:`~repro.core.stitching.IncrementalStitcher`
+    #: and the earliest deadline is tracked with a running-min heap.
+    #: ``False`` runs the literal Algorithm 2 (full re-pack per arrival).
     incremental: bool = True
-    #: Fast path: efficiency headroom before a drift re-pack triggers.
+    #: Fast path: free-space headroom, as a fraction of the arriving
+    #: patch's area, the live canvases may hold before opening another
+    #: canvas triggers a re-pack.  Smaller values re-pack more often and
+    #: track the batch packer more tightly; ``inf`` disables drift
+    #: re-packs (the probe-isolation benchmarks).
     drift_margin: float = 0.05
-    #: Overflow re-pack scope: ``"queue"`` or ``"canvas"``.
+    #: Fast path: what a wasteful overflow re-packs.  ``"queue"``
+    #: re-packs the whole queue (best quality, O(queue) per re-pack);
+    #: ``"canvas"`` consolidates only the few least-efficient canvases,
+    #: which keeps the overflow path flat at fleet-scale queue depths.  A
+    #: consolidation is adopted only when it saves at least one canvas.
     repack_scope: str = "queue"
-    #: ``repack_scope="canvas"``: ``"memo"`` / ``"repack"`` / ``"merge"``.
+    #: Canvas scope: the consolidation policy.  ``"memo"`` runs trial
+    #: re-packs behind a victim-pool signature cache (decisions
+    #: byte-identical to ``"repack"``); ``"repack"`` is the from-scratch
+    #: trial; ``"merge"`` migrates patches incrementally with a
+    #: ``"repack"`` fallback.  See :mod:`repro.core.consolidation`.
     consolidation: str = "memo"
-    #: ``repack_scope="canvas"``: linear failed-attempt backoff between
-    #: consolidation attempts.
+    #: Canvas scope: arm the linear failed-attempt backoff between
+    #: consolidation attempts.  ``False`` retries on every wasteful
+    #: overflow (pair it with ``"memo"``, whose cache subsumes the gate).
     retry_backoff: bool = True
-    #: Probe via the per-rectangle size-class index (deprecated knob;
-    #: kept for the legacy A/B arms — superseded by ``canvas_index``).
+    #: Fast path: answer probes from the size-class
+    #: :class:`~repro.core.freerect_index.FreeRectIndex` instead of a
+    #: linear scan over every free rectangle (identical decisions).
     use_index: bool = True
-    #: Probe via the fleet-scale canvas admission index.
+    #: Fast path: answer probes from the fleet-scale
+    #: :class:`~repro.core.canvas_index.CanvasAdmissionIndex`, one
+    #: capability summary per live canvas, so whole canvases are skipped
+    #: without touching their rectangles (identical decisions).  Takes
+    #: precedence over ``use_index``.
     canvas_index: bool = False
-    #: Ramp the pooled-patch consolidation budget with overflow pressure.
+    #: Canvas scope: spend an adaptive pooled-patch budget that starts at
+    #: a quarter of ``partial_patch_budget`` and ramps to it with the
+    #: wasteful overflows seen since the last committed consolidation.
     adaptive_budget: bool = False
-    #: ``repack_scope="canvas"``: worst canvases one consolidation may
-    #: dissolve at once.
+    #: Canvas scope: how many least-efficient canvases one consolidation
+    #: may dissolve at once.
     max_partial_victims: int = 8
-    #: ``repack_scope="canvas"``: pooled-patch cap per consolidation.
+    #: Canvas scope: cap on the pooled patch count one consolidation may
+    #: re-pack (the trial re-pack's cost bound).
     partial_patch_budget: int = 48
-    #: Re-pack the whole queue on every arrival through the incremental
-    #: plumbing (byte-identical to ``incremental=False``; equivalence
-    #: tests only).
+    #: Fast path: keep the incremental plumbing but re-pack the whole
+    #: queue on every arrival, so every decision is byte-identical to
+    #: ``incremental=False`` (equivalence tests only).
     full_repack_equivalent: bool = False
-    #: Canvas free-space structure: ``"skyline"`` or ``"guillotine"``.
-    #: Applies when the owner builds its own solver; an explicit
-    #: ``solver=`` brings its own structure and wins.
+    #: Canvas free-space structure: ``"skyline"`` or ``"guillotine"`` (see
+    #: :class:`~repro.core.skyline.Skyline`).  Applies when the owner
+    #: builds its own solver; an explicit ``solver=`` brings its own.
     canvas_structure: str = "skyline"
-    #: SLO-aware admission shedding threshold (``None`` disables).
+    #: SLO-aware admission shedding: once the pending queue holds at least
+    #: this many patches, arrivals whose remaining slack is below the
+    #: single-canvas execution floor are shed instead of served late.
+    #: ``None`` disables shedding.
     admission_watermark: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.drift_margin < 0:
-            raise ValueError("drift_margin must be non-negative")
+        # ``inf`` is a real setting (no drift re-packs); NaN is not.
+        if math.isnan(self.drift_margin) or self.drift_margin < 0:
+            raise ValueError(f"drift_margin must be non-negative, got {self.drift_margin!r}")
         if self.repack_scope not in REPACK_SCOPES:
             raise ValueError(
-                f"repack_scope must be one of {REPACK_SCOPES}, "
-                f"got {self.repack_scope!r}"
+                f"repack_scope must be one of {REPACK_SCOPES}, got {self.repack_scope!r}"
             )
         if self.consolidation not in CONSOLIDATION_POLICIES:
             raise ValueError(
@@ -116,31 +120,9 @@ class SchedulerOptions:
         if self.admission_watermark is not None and self.admission_watermark < 1:
             raise ValueError("admission_watermark must be at least 1")
 
-    # ------------------------------------------------------------------ clone
     def replace(self, **overrides) -> "SchedulerOptions":
         """A changed copy (validation re-runs); unknown names raise."""
         return dataclasses.replace(self, **overrides)
 
-    def merged_with(self, **maybe_overrides) -> "SchedulerOptions":
-        """Like :meth:`replace`, but :data:`UNSET` values are skipped —
-        the resolution rule of the back-compat kwarg layer."""
-        overrides = {
-            name: value
-            for name, value in maybe_overrides.items()
-            if value is not UNSET
-        }
-        if not overrides:
-            return self
-        return dataclasses.replace(self, **overrides)
 
-    # ---------------------------------------------------------------- summary
-    def describe(self) -> dict:
-        """A JSON-friendly dict (non-finite floats are stringified)."""
-        record = dataclasses.asdict(self)
-        for name, value in record.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                record[name] = str(value)
-        return record
-
-
-__all__ = ["REPACK_SCOPES", "SchedulerOptions", "UNSET"]
+__all__ = ["REPACK_SCOPES", "SchedulerOptions"]

@@ -33,7 +33,6 @@ point of the design (resizing costs accuracy, padding costs compute).
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -42,7 +41,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 # module when the consolidation subsystem was extracted, but
 # ``repro.core.stitching.Canvas`` remains the documented import path.
 from repro.core.canvas import CANVAS_STRUCTURES, Canvas, Placement  # noqa: F401
-from repro.core.options import UNSET, SchedulerOptions
+from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
 from repro.core.skyline import Skyline
 from repro.video.geometry import Box
@@ -373,157 +372,35 @@ class IncrementalStitcher:
     solver:
         The batch solver used for full re-packs (and whose canvas size
         defines the packing geometry).
-    drift_margin:
-        Free-space headroom (fraction of the arriving patch's area) the
-        live canvases may hold before opening another canvas triggers a
-        re-pack.  Smaller values re-pack more often and track the batch
-        packer more tightly.
-    repack_scope:
-        ``"queue"`` (default): a wasteful overflow re-packs the whole
-        queue, as in PR 1 — best packing quality, but O(queue) per
-        re-pack.  ``"canvas"``: consolidate only the few
-        *least-efficient* live canvases (up to :attr:`max_partial_
-        victims`) — O(a few canvases) per overflow, which keeps the
-        overflow path flat at fleet-scale queue depths.  A consolidation
-        is only adopted when it saves at least one canvas over not
-        consolidating at all, so the decision never lowers mean canvas
-        efficiency versus the no-re-pack alternative.
-    consolidation:
-        ``repack_scope="canvas"`` only: the consolidation policy —
-        ``"memo"`` (default; trial re-packs behind a victim-pool
-        signature cache, decisions byte-identical to ``"repack"``),
-        ``"repack"`` (PR-2/3's from-scratch trial re-pack, the
-        equivalence-pinned mode), or ``"merge"`` (incremental patch
-        migration with a ``"repack"`` fallback; metrics may drift within
-        the benchmark gates).  See :mod:`repro.core.consolidation`.
-    retry_backoff:
-        ``repack_scope="canvas"`` only: arm the linear failed-attempt
-        backoff (default true, the PR-2 behaviour).  ``False`` retries
-        consolidation on every wasteful overflow — pair it with
-        ``"memo"``, whose signature cache subsumes the growth gate.
-    max_partial_victims:
-        ``repack_scope="canvas"`` only: how many of the least-efficient
-        canvases one consolidation may dissolve at once.  Larger values
-        consolidate harder (tracking the batch packer more closely) at a
-        per-overflow cost that grows with the victims' patch count.
-    partial_patch_budget:
-        ``repack_scope="canvas"`` only: cap on the pooled patch count a
-        consolidation may re-pack in one go (the trial re-pack's cost
-        bound).  On small queues the victims cover nearly the whole queue
-        within this budget, so partial re-packs approach batch quality;
-        on deep queues the budget keeps the overflow path O(1)-ish.
-    use_index:
-        When true (the default), probes consult a
-        :class:`~repro.core.freerect_index.FreeRectIndex` — a bucketed
-        per-size-class index over all live free rectangles — instead of
-        linearly scanning every canvas's pool.  Placement decisions are
-        byte-identical either way (the index is exact); the knob exists
-        for equivalence tests and A/B benchmarks.
-    canvas_index:
-        When true, probes are answered by a
-        :class:`~repro.core.canvas_index.CanvasAdmissionIndex` — one
-        version-stamped capability summary (free-space envelope) per
-        live canvas, bucketed by envelope size class, so whole canvases
-        are skipped without touching their rectangles.  Decisions stay
-        byte-identical to the linear canvas sweep (and hence to the
-        rectangle index).  Supersedes ``use_index``: the per-rectangle
-        index is not built when the canvas index is on, since its
-        per-rectangle maintenance is exactly the cost the canvas index
-        exists to shed at fleet scale.
-    adaptive_budget:
-        When true, the consolidation paths spend
-        :attr:`effective_patch_budget` instead of the static
-        ``partial_patch_budget``: the budget starts at a quarter of the
-        static knob and ramps toward it with the number of wasteful
-        overflows observed since the last committed consolidation (the
-        overflow *rate between consolidations*), so cheap trials are
-        used while small pools keep consolidating and the full budget is
-        spent only under sustained overflow pressure.  Always bounded
-        above by the static knob.  Off by default: the equivalence pins
-        and the PR-2..4 benchmark arms rely on the static behaviour.
-    always_repack:
-        Full-repack-equivalent mode: every probe packs the whole queue from
-        scratch with the batch solver, making the scheduler's decisions (and
-        therefore all experiment metrics) byte-identical to the literal
-        Algorithm 2 implementation.  Used by the equivalence tests.
     equivalent_canvas_pixels:
         Pixel area of one standard canvas used for the equivalent-canvas
         accounting; defaults to the solver's canvas area.  Pass the latency
         estimator's ``canvas_pixels`` when the two are configured apart.
     options:
-        A :class:`~repro.core.options.SchedulerOptions` carrying all of
-        the above knobs at once (the sharded fleet frontend clones one
-        per worker).  Explicitly passed kwargs override the matching
-        fields; ``always_repack`` maps onto
-        :attr:`~repro.core.options.SchedulerOptions.
-        full_repack_equivalent`.  Passing ``use_index=`` as a kwarg is
-        deprecated (superseded by ``canvas_index=``) and emits a
-        :class:`DeprecationWarning`; the resolved knobs are exposed as
-        :attr:`options`.
+        The :class:`~repro.core.options.SchedulerOptions` knobs (drift
+        margin, re-pack scope, consolidation policy, probe index, budgets,
+        full-repack-equivalent mode; documented on its fields), exposed as
+        :attr:`options`.  ``incremental``, ``canvas_structure`` and
+        ``admission_watermark`` belong to the scheduler and are ignored
+        here.
     """
 
     def __init__(
         self,
         solver: Optional[PatchStitchingSolver] = None,
-        drift_margin: float = UNSET,
-        always_repack: bool = UNSET,
         equivalent_canvas_pixels: Optional[float] = None,
-        repack_scope: str = UNSET,
-        use_index: bool = UNSET,
-        max_partial_victims: int = UNSET,
-        partial_patch_budget: int = UNSET,
-        consolidation: str = UNSET,
-        retry_backoff: bool = UNSET,
-        canvas_index: bool = UNSET,
-        adaptive_budget: bool = UNSET,
         options: Optional[SchedulerOptions] = None,
     ) -> None:
-        if use_index is not UNSET:
-            warnings.warn(
-                "use_index= is deprecated: the canvas admission index "
-                "(canvas_index=) supersedes the per-rectangle index; pass "
-                "options=SchedulerOptions(use_index=...) for the legacy "
-                "A/B arms",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        # Resolution rule of the back-compat layer: an explicitly passed
-        # kwarg overrides the matching ``options`` field; ``UNSET`` kwargs
-        # take the field (whose default is the historical kwarg default).
-        # ``merged_with`` re-runs the dataclass validation, so bad values
-        # raise the same ``ValueError`` they always did.
-        opts = (options or SchedulerOptions()).merged_with(
-            drift_margin=drift_margin,
-            full_repack_equivalent=always_repack,
-            repack_scope=repack_scope,
-            use_index=use_index,
-            max_partial_victims=max_partial_victims,
-            partial_patch_budget=partial_patch_budget,
-            consolidation=consolidation,
-            retry_backoff=retry_backoff,
-            canvas_index=canvas_index,
-            adaptive_budget=adaptive_budget,
-        )
+        opts = options or SchedulerOptions()
         self.options = opts
-        drift_margin = opts.drift_margin
-        always_repack = opts.full_repack_equivalent
-        repack_scope = opts.repack_scope
-        use_index = opts.use_index
-        max_partial_victims = opts.max_partial_victims
-        partial_patch_budget = opts.partial_patch_budget
-        consolidation = opts.consolidation
-        retry_backoff = opts.retry_backoff
-        canvas_index = opts.canvas_index
-        adaptive_budget = opts.adaptive_budget
         self.solver = solver or PatchStitchingSolver()
-        self.drift_margin = drift_margin
-        self.always_repack = always_repack
-        self.repack_scope = repack_scope
-        self.max_partial_victims = max_partial_victims
-        self.partial_patch_budget = partial_patch_budget
-        self.consolidation = consolidation
-        self.canvas_index = canvas_index
-        self.adaptive_budget = adaptive_budget
+        # Hot-path knobs, read on every probe.
+        self.drift_margin = opts.drift_margin
+        self.full_repack_equivalent = opts.full_repack_equivalent
+        self.repack_scope = opts.repack_scope
+        self.max_partial_victims = opts.max_partial_victims
+        self.partial_patch_budget = opts.partial_patch_budget
+        self.adaptive_budget = opts.adaptive_budget
         #: Wasteful overflows seen since the last committed consolidation
         #: (probe-side bookkeeping, like the engine's backoff); drives
         #: :attr:`effective_patch_budget` when ``adaptive_budget`` is on.
@@ -533,11 +410,11 @@ class IncrementalStitcher:
         # index supersedes the per-rectangle index when both are requested.
         self._canvas_index: Optional["CanvasAdmissionIndex"] = None
         self._index: Optional["FreeRectIndex"] = None
-        if canvas_index and not always_repack:
+        if opts.canvas_index and not opts.full_repack_equivalent:
             from repro.core.canvas_index import CanvasAdmissionIndex
 
             self._canvas_index = CanvasAdmissionIndex()
-        elif use_index and not always_repack:
+        elif opts.use_index and not opts.full_repack_equivalent:
             from repro.core.freerect_index import FreeRectIndex
 
             self._index = FreeRectIndex()
@@ -565,7 +442,7 @@ class IncrementalStitcher:
         from repro.core.consolidation import ConsolidationEngine
 
         self._consolidation = ConsolidationEngine(
-            self, policy=consolidation, retry_backoff=retry_backoff
+            self, policy=opts.consolidation, retry_backoff=opts.retry_backoff
         )
         self._consolidation.rebuild()
         # Attach the (identity-stable) canvas list now: compaction re-walks
@@ -671,7 +548,7 @@ class IncrementalStitcher:
     def probe(self, patch: Patch) -> PlacementPlan:
         """Plan the placement of ``patch`` without mutating any state."""
         self.stats["probes"] += 1
-        if self.always_repack:
+        if self.full_repack_equivalent:
             return self._full_repack_plan(patch)
         solver = self.solver
         if not patch.fits_on(solver.canvas_width, solver.canvas_height):
@@ -796,7 +673,7 @@ class IncrementalStitcher:
         if plan.kind == "repack":
             assert plan.repacked is not None
             self._adopt(plan.repacked)  # also resets the overflow streak
-            if not self.always_repack:
+            if not self.full_repack_equivalent:
                 self.stats["full_repacks"] += 1
             return self._canvases
         if plan.kind == "partial":

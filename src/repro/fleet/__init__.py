@@ -13,12 +13,12 @@ real fleet needs between frame capture and ``TangramScheduler``:
   over the lossy uplink mode of :mod:`repro.network.link`;
 * :mod:`repro.fleet.faults` -- seeded, deterministic fault plans
   (dropout, loss, jitter, burst) whose windows nest as intensity rises;
-* :mod:`repro.fleet.scenario` -- the wiring of all of the above into one
-  runnable, fully-counted fleet experiment;
-* :mod:`repro.fleet.shard` -- the sharded frontend: camera ownership
-  partitioned across N independent scheduler workers with consistent-hash
-  (or load-based) dispatch and clone-planned work stealing; ``shards=1``
-  is pinned byte-identical to :func:`run_fleet_scenario`.
+* :mod:`repro.fleet.scenario` -- the config and fully-counted result
+  types of one fleet run;
+* :mod:`repro.fleet.shard` -- the fleet runner: the wiring of all of the
+  above, with camera ownership partitioned across N independent scheduler
+  workers by consistent-hash (or load-based) dispatch and clone-planned
+  work stealing; ``shards=1`` is the single-scheduler fleet.
 """
 
 from repro.fleet.faults import FaultEvent, FaultFreePlan, FaultPlan
@@ -32,12 +32,7 @@ from repro.fleet.liveness import (
     LivenessTracker,
 )
 from repro.fleet.retry import ReliableSender, RetryPolicy, TransferStats
-from repro.fleet.scenario import (
-    FleetRunResult,
-    FleetScenarioConfig,
-    fleet_scenario_counters,
-    run_fleet_scenario,
-)
+from repro.fleet.scenario import FleetRunResult, FleetScenarioConfig
 from repro.fleet.shard import (
     ShardRouter,
     ShardRunResult,
@@ -72,8 +67,6 @@ __all__ = [
     "ReliableSender",
     "RetryPolicy",
     "TransferStats",
-    "fleet_scenario_counters",
-    "run_fleet_scenario",
     "run_sharded_scenario",
     "sharded_scenario_counters",
 ]

@@ -22,20 +22,18 @@ patch to the worker that currently owns its camera.
   the source, and a stalled plan commits nothing.  Only **future**
   arrivals move — patches already queued on the hot shard drain where
   they are (they are mid-flight state, like a canvas's residents).
-* **Faults** compose exactly as in the single-scheduler scenario: the
-  :class:`~repro.fleet.faults.FaultPlan` drives capture suppression,
+* **Faults**: the :class:`~repro.fleet.faults.FaultPlan` drives capture suppression,
   uplink dials, and burst surplus per camera, so shard-targeted chaos is
   just a plan over one shard's camera set
   (:func:`consistent_shard_assignment` tells you which set that is).
 
-``shards=1`` is pinned **byte-identical** to
-:func:`~repro.fleet.scenario.run_fleet_scenario`: shard 0 spawns the
-same named random streams, constructs the same objects with the same
-knobs, and schedules the same events in the same order (the shared
-:func:`~repro.workloads.fleet.capture_schedule` iteration); rebalance
-ticks are only scheduled for ``shards > 1``.  Every worker's scheduler
-is built by cloning one :class:`~repro.core.options.SchedulerOptions`
-record — the API this PR exists to consolidate.
+This is the only fleet runner: ``shards=1`` is the single-scheduler
+fleet.  Shard 0 spawns the unsuffixed random-stream names and rebalance
+ticks are only scheduled for ``shards > 1``, so a one-shard run is
+exactly one scheduler behind one ingestor (its counters and batch keys
+are pinned as literals in ``tests/test_fleet_scenario.py``).  Every
+worker's scheduler is built from the one frozen
+:class:`~repro.core.options.SchedulerOptions` record of the base config.
 """
 
 from __future__ import annotations
@@ -77,8 +75,8 @@ class ShardScenarioConfig:
     """One sharded fleet run: the single-scheduler config plus routing."""
 
     #: Everything a single worker needs (workload, uplinks, ingest knobs,
-    #: scheduler options).  Worker schedulers are built by cloning
-    #: ``base.resolved_scheduler_options()``.
+    #: scheduler options).  Every worker scheduler is built from
+    #: ``base.scheduler_options``.
     base: FleetScenarioConfig = field(default_factory=FleetScenarioConfig)
     #: Independent scheduler workers the cameras are partitioned across.
     shards: int = 4
@@ -103,8 +101,7 @@ class ShardScenarioConfig:
             raise ValueError("shards must be at least 1")
         if self.dispatch not in BALANCER_POLICIES:
             raise ValueError(
-                f"unknown dispatch policy {self.dispatch!r}; "
-                f"valid: {BALANCER_POLICIES}"
+                f"unknown dispatch policy {self.dispatch!r}; valid: {BALANCER_POLICIES}"
             )
         if self.rebalance_interval <= 0:
             raise ValueError("rebalance_interval must be positive")
@@ -120,10 +117,9 @@ class ShardWorker:
     """One scheduler worker: its own solver, estimator, scheduler, and
     ingestor, plus the set of cameras it currently owns.
 
-    Shard 0 spawns the random-stream names of the unsharded scenario
-    (``"estimator"`` / ``"scheduler"``); higher shards suffix theirs.
-    Streams are name-keyed (order-independent), so this is all the
-    ``shards=1`` byte-identity pin needs from the construction side.
+    Shard 0 spawns the unsuffixed random-stream names (``"estimator"`` /
+    ``"scheduler"``); higher shards suffix theirs.  Streams are name-keyed
+    (order-independent), so adding shards never perturbs shard 0's draws.
     """
 
     def __init__(
@@ -138,7 +134,7 @@ class ShardWorker:
     ) -> None:
         self.shard_id = shard_id
         suffix = "" if shard_id == 0 else f"/shard-{shard_id}"
-        options = config.resolved_scheduler_options().replace()
+        options = config.scheduler_options
         solver = PatchStitchingSolver(
             canvas_width=config.canvas_size,
             canvas_height=config.canvas_size,
@@ -234,9 +230,7 @@ class ShardRouter:
 
     def assignments(self) -> Dict[str, int]:
         """Current camera -> shard-id map (a copy)."""
-        return {
-            camera_id: worker.shard_id for camera_id, worker in self._owner.items()
-        }
+        return {camera_id: worker.shard_id for camera_id, worker in self._owner.items()}
 
     # ---------------------------------------------------------- work stealing
     def rebalance(self) -> int:
@@ -355,9 +349,7 @@ class ShardRunResult:
         return flat
 
 
-def consistent_shard_assignment(
-    cameras: Sequence[str], shards: int
-) -> Dict[str, int]:
+def consistent_shard_assignment(cameras: Sequence[str], shards: int) -> Dict[str, int]:
     """The static camera->shard map of the ``"consistent_hash"`` dispatch.
 
     Ownership under consistent hashing is a pure function of the camera
@@ -378,11 +370,16 @@ def run_sharded_scenario(
 ) -> ShardRunResult:
     """Run one seeded fleet scenario across N scheduler shards.
 
-    The wiring mirrors :func:`~repro.fleet.scenario.run_fleet_scenario`
-    exactly — same platform, same per-camera retrying uplinks, same
-    capture schedule — with deliveries routed to the owning shard's
-    ingestor at delivery time (so a mid-run ownership migration redirects
-    retransmissions too).
+    Each camera captures frames on its own phase-shifted grid,
+    heartbeating the liveness tracker with every capture (so a dropout
+    window silences both frames and heartbeats).  Every patch rides a
+    :class:`~repro.fleet.retry.ReliableSender` over a per-camera
+    :class:`~repro.network.link.Uplink` whose loss/jitter dials the
+    :class:`~repro.fleet.faults.FaultPlan` drives, and is routed to the
+    owning shard's ingestor at delivery time (so a mid-run ownership
+    migration redirects retransmissions too).  Each ingestor expires
+    stale patches, bounds per-camera backlog, and feeds its scheduler in
+    deadline order.
     """
     config = config or ShardScenarioConfig()
     base = config.base
@@ -407,9 +404,7 @@ def run_sharded_scenario(
         else None
     )
     workers = [
-        ShardWorker(
-            shard_id, simulator, platform, latency_model, streams, base, liveness
-        )
+        ShardWorker(shard_id, simulator, platform, latency_model, streams, base, liveness)
         for shard_id in range(config.shards)
     ]
     router = ShardRouter(
@@ -439,6 +434,11 @@ def run_sharded_scenario(
             liveness.register(camera_id)
         router.assign(camera_id)
 
+    def deliver(record) -> None:
+        # Ownership is looked up at delivery time, so work stealing
+        # redirects retransmissions along with fresh arrivals.
+        router.owner(record.payload.camera_id).ingestor.offer(record.payload)
+
     def transmit(camera_id: str, frame_index: int, slot: int, scene_key: str) -> None:
         patch = make_patch(
             workload,
@@ -465,11 +465,7 @@ def run_sharded_scenario(
             payload=patch,
             key=(camera_id, frame_index, slot),
             deadline=patch.deadline,
-            # Ownership is looked up at delivery time, so work stealing
-            # redirects retransmissions along with fresh arrivals.
-            on_delivered=lambda record: router.owner(
-                record.payload.camera_id
-            ).ingestor.offer(record.payload),
+            on_delivered=deliver,
             on_failed=failed,
         )
 
@@ -496,8 +492,8 @@ def run_sharded_scenario(
 
         simulator.schedule_at(when, on_capture, name=f"{camera_id}:capture")
 
-    # Rebalance cadence: only when there is more than one shard, so the
-    # shards=1 event sequence stays byte-identical to the unsharded run.
+    # Rebalance cadence: only when there is more than one shard (nothing
+    # to steal from otherwise), so shards=1 schedules no extra events.
     if config.shards > 1 and config.steal_enabled:
         horizon = workload.duration_s + 1.0 / workload.fps + workload.slo
         tick = config.rebalance_interval

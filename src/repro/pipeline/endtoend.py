@@ -18,7 +18,8 @@ Event-driven flow for every camera:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -30,8 +31,7 @@ from repro.core.options import SchedulerOptions
 from repro.core.partitioning import FramePartitioner
 from repro.core.scheduler import BaseScheduler, BatchRecord, PatchOutcome, TangramScheduler
 from repro.core.latency import LatencyEstimator
-from repro.core.consolidation import CONSOLIDATION_POLICIES
-from repro.core.stitching import CANVAS_STRUCTURES, PatchStitchingSolver
+from repro.core.stitching import PatchStitchingSolver
 from repro.network.encoding import FrameEncoder
 from repro.network.link import Uplink
 from repro.serverless.platform import ServerlessPlatform, ScalingPolicy
@@ -71,47 +71,10 @@ class EndToEndConfig:
     mark_batch_size: int = 8
     mark_timeout: float = 0.25
     clipper_initial_batch: int = 4
-    #: Tangram scheduler fast path: incremental stitching + heap-tracked
-    #: deadlines (see :class:`repro.core.scheduler.TangramScheduler`).
-    scheduler_incremental: bool = True
-    scheduler_drift_margin: float = 0.05
-    #: Overflow re-pack scope: ``"queue"`` (whole queue, PR-1 behaviour)
-    #: or ``"canvas"`` (only the least-efficient canvas — fleet scale).
-    scheduler_repack_scope: str = "queue"
-    #: Consolidation policy for ``"canvas"`` scope: ``"memo"`` (default;
-    #: byte-identical to ``"repack"``), ``"repack"``, or ``"merge"``
-    #: (see :mod:`repro.core.consolidation`).
-    scheduler_consolidation: str = "memo"
-    #: Answer probes from the size-class free-rectangle index instead of
-    #: the linear scan (placement decisions are identical either way).
-    scheduler_use_index: bool = True
-    #: Answer probes from the fleet-scale canvas admission index — one
-    #: capability summary per live canvas, identical decisions,
-    #: supersedes ``scheduler_use_index`` (see
-    #: :mod:`repro.core.canvas_index`).
-    scheduler_canvas_index: bool = False
-    #: Ramp the consolidation pooled-patch budget with the
-    #: wasteful-overflow rate between consolidations, bounded by the
-    #: static knob (see :class:`repro.core.stitching.
-    #: IncrementalStitcher`).
-    scheduler_adaptive_budget: bool = False
-    #: Re-pack the whole queue on every arrival through the incremental
-    #: plumbing; metrics become byte-identical to ``scheduler_incremental
-    #: = False`` (used for equivalence checks).
-    scheduler_full_repack_equivalent: bool = False
-    #: Canvas free-space structure: ``"skyline"`` (default) or
-    #: ``"guillotine"`` (see :class:`repro.core.skyline.Skyline`).
-    canvas_structure: str = "skyline"
-    #: SLO-aware degradation: scheduler admission watermark (``None``
-    #: disables shedding; see :class:`repro.core.scheduler.
-    #: TangramScheduler`).  Plumbed exactly like the other scheduler
-    #: knobs so sweeps can dial it per point.
-    scheduler_admission_watermark: Optional[int] = None
-    #: One :class:`~repro.core.options.SchedulerOptions` carrying every
-    #: scheduler knob at once; when set it wins wholesale over the
-    #: per-knob ``scheduler_*`` fields (the back-compat layer), including
-    #: ``canvas_structure`` for the solver the scheduler is built around.
-    scheduler_options: Optional[SchedulerOptions] = None
+    #: Every Tangram-scheduler knob, including the canvas free-space
+    #: structure of the solver the scheduler is built around (see
+    #: :class:`~repro.core.options.SchedulerOptions`).
+    scheduler_options: SchedulerOptions = field(default_factory=SchedulerOptions)
     #: Lossy/jittery uplink mode (fleet fault experiments): per-send loss
     #: probability, propagation-jitter bound (seconds), and the seed of
     #: the counter-based draws.  The 0.0/0.0 default never touches the
@@ -130,40 +93,16 @@ class EndToEndConfig:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; valid: {STRATEGIES}"
             )
+        for knob in fields(self):
+            value = getattr(self, knob.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{knob.name} must be finite, got {value!r}")
         if self.bandwidth_mbps <= 0 or self.slo <= 0 or self.fps <= 0:
             raise ValueError("bandwidth_mbps, slo and fps must be positive")
         if not 0.0 <= self.uplink_loss_probability < 1.0:
             raise ValueError("uplink_loss_probability must be in [0, 1)")
         if self.uplink_jitter_s < 0:
             raise ValueError("uplink_jitter_s must be non-negative")
-        if self.canvas_structure not in CANVAS_STRUCTURES:
-            raise ValueError(
-                f"unknown canvas_structure {self.canvas_structure!r}; "
-                f"valid: {CANVAS_STRUCTURES}"
-            )
-        if self.scheduler_consolidation not in CONSOLIDATION_POLICIES:
-            raise ValueError(
-                f"unknown scheduler_consolidation "
-                f"{self.scheduler_consolidation!r}; "
-                f"valid: {CONSOLIDATION_POLICIES}"
-            )
-
-    def resolved_scheduler_options(self) -> SchedulerOptions:
-        """The options record the Tangram scheduler is built from."""
-        if self.scheduler_options is not None:
-            return self.scheduler_options
-        return SchedulerOptions(
-            incremental=self.scheduler_incremental,
-            drift_margin=self.scheduler_drift_margin,
-            repack_scope=self.scheduler_repack_scope,
-            consolidation=self.scheduler_consolidation,
-            use_index=self.scheduler_use_index,
-            canvas_index=self.scheduler_canvas_index,
-            adaptive_budget=self.scheduler_adaptive_budget,
-            full_repack_equivalent=self.scheduler_full_repack_equivalent,
-            canvas_structure=self.canvas_structure,
-            admission_watermark=self.scheduler_admission_watermark,
-        )
 
 
 @dataclass
@@ -320,7 +259,7 @@ class EndToEndRunner:
     def _build_scheduler(self) -> BaseScheduler:
         config = self.config
         if config.strategy == "tangram":
-            options = config.resolved_scheduler_options()
+            options = config.scheduler_options
             solver = PatchStitchingSolver(
                 canvas_width=config.canvas_size,
                 canvas_height=config.canvas_size,

@@ -19,7 +19,13 @@ import os
 
 import pytest
 
-from repro.fleet import FaultPlan, FleetScenarioConfig, run_fleet_scenario
+from repro.core.options import SchedulerOptions
+from repro.fleet import (
+    FaultPlan,
+    FleetScenarioConfig,
+    ShardScenarioConfig,
+    run_sharded_scenario,
+)
 from repro.workloads.fleet import FleetWorkloadConfig, camera_ids
 
 pytestmark = pytest.mark.skipif(
@@ -45,10 +51,14 @@ FAULT_KNOBS = {
 def _config(policy: str) -> FleetScenarioConfig:
     return FleetScenarioConfig(
         workload=FleetWorkloadConfig(num_cameras=6, fps=4.0, duration_s=DURATION, seed=7),
-        repack_scope="canvas",
-        consolidation=policy,
+        scheduler_options=SchedulerOptions(repack_scope="canvas", consolidation=policy),
         estimator_iterations=100,
     )
+
+
+def _run(policy: str, plan):
+    """One single-scheduler run (``shards=1``) of ``policy``'s config."""
+    return run_sharded_scenario(ShardScenarioConfig(base=_config(policy), shards=1), plan).fleet
 
 
 def _plan(fault: str, intensity: float) -> FaultPlan:
@@ -71,7 +81,7 @@ def _result(policy: str, fault: str, intensity: float):
     key = (policy, "any", 0.0) if intensity == 0.0 else (policy, fault, intensity)
     if key not in _CACHE:
         plan = _plan(fault, intensity) if intensity > 0.0 else None
-        _CACHE[key] = run_fleet_scenario(_config(policy), plan)
+        _CACHE[key] = _run(policy, plan)
     return _CACHE[key]
 
 
@@ -100,7 +110,7 @@ def test_completes_and_degrades_monotonically(policy, fault):
 @pytest.mark.parametrize("fault", sorted(FAULT_KNOBS))
 def test_full_intensity_runs_are_deterministic(policy, fault):
     first = _result(policy, fault, 1.0).counters()
-    second = run_fleet_scenario(_config(policy), _plan(fault, 1.0)).counters()
+    second = _run(policy, _plan(fault, 1.0)).counters()
     assert first == second
 
 
@@ -118,7 +128,7 @@ def test_combined_fault_cocktail_completes(policy):
         burst_count=2,
         burst_multiplier=3.0,
     )
-    result = run_fleet_scenario(_config(policy), plan)
+    result = _run(policy, plan)
     assert result.errors == 0
     assert 0.0 < result.delivered_fraction <= 1.0
-    assert result.counters() == run_fleet_scenario(_config(policy), plan).counters()
+    assert result.counters() == _run(policy, plan).counters()

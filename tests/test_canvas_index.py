@@ -37,6 +37,7 @@ from repro.core.canvas_index import (
     height_class,
     height_class_lower_bound,
 )
+from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
 from repro.core.stitching import IncrementalStitcher, PatchStitchingSolver
 from repro.video.geometry import Box
@@ -89,10 +90,9 @@ def _stitcher(structure: str, policy: str, *, canvas_index: bool, **kw):
     kw.setdefault("repack_scope", "canvas")
     return IncrementalStitcher(
         PatchStitchingSolver(canvas_structure=structure),
-        consolidation=policy,
-        canvas_index=canvas_index,
-        use_index=False,
-        **kw,
+        options=SchedulerOptions(
+            consolidation=policy, canvas_index=canvas_index, use_index=False, **kw
+        ),
     )
 
 
@@ -195,7 +195,10 @@ class TestByteIdenticalToLinearSweep:
         """The strongest form: on one evolving packing, every probe's
         index answer equals the linear sweep's (same canvas, rect, and
         score)."""
-        stitcher = IncrementalStitcher(PatchStitchingSolver(), canvas_index=True)
+        stitcher = IncrementalStitcher(
+            PatchStitchingSolver(),
+            options=SchedulerOptions(canvas_index=True),
+        )
         for patch in _patches(size_list):
             indexed = stitcher._canvas_index.best_fit(patch.width, patch.height)
             linear = stitcher.linear_best_fit(patch)
@@ -243,9 +246,11 @@ class TestByteIdenticalToLinearSweep:
     def test_invariants_hold_after_every_arrival(self, size_list):
         stitcher = IncrementalStitcher(
             PatchStitchingSolver(),
-            repack_scope="canvas",
-            canvas_index=True,
-            partial_patch_budget=8,
+            options=SchedulerOptions(
+                repack_scope="canvas",
+                canvas_index=True,
+                partial_patch_budget=8,
+            ),
         )
         for patch in _patches(size_list):
             stitcher.add(patch)
@@ -255,7 +260,10 @@ class TestByteIdenticalToLinearSweep:
 # ----------------------------------------------------- stale-stamp safety
 class TestStaleStampsNeverServe:
     def test_reindex_bumps_version_and_replaces_the_row(self):
-        stitcher = IncrementalStitcher(PatchStitchingSolver(), canvas_index=True)
+        stitcher = IncrementalStitcher(
+            PatchStitchingSolver(),
+            options=SchedulerOptions(canvas_index=True),
+        )
         patch = _patches([(400.0, 300.0)])[0]
         stitcher.add(patch)
         index = stitcher._canvas_index
@@ -270,7 +278,10 @@ class TestStaleStampsNeverServe:
         """A canvas mutated behind the index's back makes the summary
         stale; ``check_invariants`` must catch it (and ``reindex_canvas``
         must clear it)."""
-        stitcher = IncrementalStitcher(PatchStitchingSolver(), canvas_index=True)
+        stitcher = IncrementalStitcher(
+            PatchStitchingSolver(),
+            options=SchedulerOptions(canvas_index=True),
+        )
         stitcher.add(_patches([(400.0, 300.0)])[0])
         canvas = stitcher.canvases[0]
         rogue = _patches([(300.0, 200.0)])[0]
@@ -285,7 +296,10 @@ class TestStaleStampsNeverServe:
     def test_decisions_follow_the_mutation_immediately(self):
         """After a commit mutates a canvas, the very next probe answers
         from the fresh summary (no lazily lingering stale state)."""
-        stitcher = IncrementalStitcher(PatchStitchingSolver(), canvas_index=True)
+        stitcher = IncrementalStitcher(
+            PatchStitchingSolver(),
+            options=SchedulerOptions(canvas_index=True),
+        )
         for patch in _patches([(1000.0, 1000.0), (900.0, 900.0)]):
             stitcher.add(patch)
         probe = _patches([(800.0, 800.0)])[0]
@@ -298,7 +312,7 @@ class TestMaintenance:
     def test_oversized_canvases_are_never_admitted(self):
         stitcher = IncrementalStitcher(
             PatchStitchingSolver(canvas_width=1024, canvas_height=1024),
-            canvas_index=True,
+            options=SchedulerOptions(canvas_index=True),
         )
         stitcher.add(_patches([(2048.0, 1100.0)])[0])
         index = stitcher._canvas_index
@@ -320,7 +334,8 @@ class TestMaintenance:
 
     def test_canvas_index_supersedes_use_index(self):
         stitcher = IncrementalStitcher(
-            PatchStitchingSolver(), use_index=True, canvas_index=True
+            PatchStitchingSolver(),
+            options=SchedulerOptions(use_index=True, canvas_index=True),
         )
         assert stitcher._index is None
         assert stitcher._canvas_index is not None
@@ -329,12 +344,16 @@ class TestMaintenance:
 
     def test_full_repack_equivalent_mode_skips_the_index(self):
         stitcher = IncrementalStitcher(
-            PatchStitchingSolver(), canvas_index=True, always_repack=True
+            PatchStitchingSolver(),
+            options=SchedulerOptions(canvas_index=True, full_repack_equivalent=True),
         )
         assert stitcher._canvas_index is None
 
     def test_exclude_hides_canvases_from_the_query(self):
-        stitcher = IncrementalStitcher(PatchStitchingSolver(), canvas_index=True)
+        stitcher = IncrementalStitcher(
+            PatchStitchingSolver(),
+            options=SchedulerOptions(canvas_index=True),
+        )
         for patch in _patches([(900.0, 900.0), (900.0, 900.0)]):
             stitcher.add(patch)
         index = stitcher._canvas_index
@@ -352,9 +371,11 @@ class TestKnobPlumbing:
         from repro.simulation.engine import Simulator
 
         config = TangramConfig(
-            scheduler_repack_scope="canvas",
-            scheduler_canvas_index=True,
-            scheduler_adaptive_budget=True,
+            scheduler_options=SchedulerOptions(
+                repack_scope="canvas",
+                canvas_index=True,
+                adaptive_budget=True,
+            ),
         )
         tangram = Tangram(config=config)
         simulator = Simulator()
@@ -369,9 +390,11 @@ class TestKnobPlumbing:
         from repro.video.frames import Frame
 
         config = EndToEndConfig(
-            scheduler_repack_scope="canvas",
-            scheduler_canvas_index=True,
-            scheduler_adaptive_budget=True,
+            scheduler_options=SchedulerOptions(
+                repack_scope="canvas",
+                canvas_index=True,
+                adaptive_budget=True,
+            ),
         )
         frame = Frame(
             scene_key="test",
@@ -393,7 +416,9 @@ class TestKnobPlumbing:
         simulator = Simulator()
         platform = ServerlessPlatform(simulator)
         scheduler = TangramScheduler(
-            simulator, platform, repack_scope="canvas", canvas_index=True
+            simulator,
+            platform,
+            options=SchedulerOptions(repack_scope="canvas", canvas_index=True),
         )
         assert set(scheduler.canvas_index_stats) >= {"queries", "reindexes"}
 
@@ -427,9 +452,11 @@ def test_scheduler_metrics_identical_with_and_without_canvas_index():
             estimator=estimator,
             latency_model=latency_model,
             streams=RandomStreams(6),
-            use_index=False,
-            canvas_index=canvas_index,
-            repack_scope="canvas",
+            options=SchedulerOptions(
+                use_index=False,
+                canvas_index=canvas_index,
+                repack_scope="canvas",
+            ),
         )
         for patch, arrival in zip(trace, gen_times):
             simulator.schedule_at(

@@ -34,6 +34,7 @@ from repro.core.consolidation import (
     make_policy,
     unpairable,
 )
+from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
 from repro.core.stitching import IncrementalStitcher, PatchStitchingSolver
 from repro.video.geometry import Box
@@ -84,9 +85,7 @@ def _stitcher(policy: str, retry_backoff: bool = True, **kw) -> IncrementalStitc
     kw.setdefault("repack_scope", "canvas")
     return IncrementalStitcher(
         PatchStitchingSolver(),
-        consolidation=policy,
-        retry_backoff=retry_backoff,
-        **kw,
+        options=SchedulerOptions(consolidation=policy, retry_backoff=retry_backoff, **kw),
     )
 
 
@@ -335,7 +334,10 @@ class TestEngineMechanics:
         with pytest.raises(ValueError, match="consolidation"):
             make_policy("turbo")
         with pytest.raises(ValueError, match="consolidation"):
-            IncrementalStitcher(PatchStitchingSolver(), consolidation="turbo")
+            IncrementalStitcher(
+                PatchStitchingSolver(),
+                options=SchedulerOptions(consolidation="turbo"),
+            )
 
     def test_policy_registry(self):
         assert CONSOLIDATION_POLICIES == ("repack", "memo", "merge")
@@ -534,11 +536,13 @@ class TestStallPredictor:
         solver = PatchStitchingSolver(canvas_width=100.0, canvas_height=100.0)
         stitcher = IncrementalStitcher(
             solver,
-            repack_scope="canvas",
-            consolidation="repack",
-            retry_backoff=False,
-            max_partial_victims=2,
-            partial_patch_budget=5,
+            options=SchedulerOptions(
+                repack_scope="canvas",
+                consolidation="repack",
+                retry_backoff=False,
+                max_partial_victims=2,
+                partial_patch_budget=5,
+            ),
         )
         # Two victims, each 100x40 + 100x35 (a 100x25 strip left), plus
         # three near-full canvases keeping the victims at the heap root
@@ -572,12 +576,12 @@ class TestKnobPlumbing:
     def test_endtoend_config_validates_policy(self):
         from repro.pipeline.endtoend import EndToEndConfig
 
-        with pytest.raises(ValueError, match="scheduler_consolidation"):
-            EndToEndConfig(scheduler_consolidation="turbo")
+        with pytest.raises(ValueError, match="consolidation"):
+            EndToEndConfig(scheduler_options=SchedulerOptions(consolidation="turbo"))
         config = EndToEndConfig(
-            scheduler_repack_scope="canvas", scheduler_consolidation="merge"
+            scheduler_options=SchedulerOptions(repack_scope="canvas", consolidation="merge"),
         )
-        assert config.scheduler_consolidation == "merge"
+        assert config.scheduler_options.consolidation == "merge"
 
     def test_tangram_config_reaches_the_stitcher(self):
         from repro.core.tangram import Tangram, TangramConfig
@@ -585,13 +589,13 @@ class TestKnobPlumbing:
         from repro.simulation.engine import Simulator
 
         config = TangramConfig(
-            scheduler_repack_scope="canvas", scheduler_consolidation="merge"
+            scheduler_options=SchedulerOptions(repack_scope="canvas", consolidation="merge"),
         )
         tangram = Tangram(config=config)
         simulator = Simulator()
         platform = ServerlessPlatform(simulator)
         scheduler = tangram.build_online_scheduler(simulator, platform)
-        assert scheduler._packer.consolidation == "merge"
+        assert scheduler._packer.options.consolidation == "merge"
         assert isinstance(scheduler._packer._consolidation.policy, MergePolicy)
 
     def test_scheduler_exposes_consolidation_stats(self):
@@ -602,7 +606,9 @@ class TestKnobPlumbing:
         simulator = Simulator()
         platform = ServerlessPlatform(simulator)
         scheduler = TangramScheduler(
-            simulator, platform, repack_scope="canvas", retry_backoff=False
+            simulator,
+            platform,
+            options=SchedulerOptions(repack_scope="canvas", retry_backoff=False),
         )
         stats = scheduler.consolidation_stats
         assert set(stats) >= {"attempts", "trial_packs", "memo_rejects"}

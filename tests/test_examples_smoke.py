@@ -66,6 +66,4 @@ def test_fleet_churn_headline_claims_hold_on_a_small_fleet(fleet_churn):
     if plan.dropout_cameras():
         assert churn.suppressed_base > 0 or churn.ingest["expired_dead"] > 0
     # The example's determinism claim: a replay agrees counter-for-counter.
-    from repro.fleet import run_fleet_scenario
-
-    assert run_fleet_scenario(config, plan).counters() == churn.counters()
+    assert fleet_churn.run_fleet(config, plan).counters() == churn.counters()

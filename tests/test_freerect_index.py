@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.freerect_index import FreeRectIndex, class_lower_bound, size_class
+from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
 from repro.core.stitching import IncrementalStitcher, PatchStitchingSolver
 from repro.video.geometry import Box
@@ -69,7 +70,10 @@ def test_class_lower_bound_is_a_true_lower_bound(dimension):
 def test_index_best_fit_matches_linear_scan_every_arrival(size_list):
     """The strongest form: on one evolving packing, every probe's index
     answer equals the linear scan's (same canvas, rect, and score)."""
-    stitcher = IncrementalStitcher(PatchStitchingSolver(), use_index=True)
+    stitcher = IncrementalStitcher(
+        PatchStitchingSolver(),
+        options=SchedulerOptions(use_index=True),
+    )
     for patch in _patches(size_list):
         indexed = stitcher._index.best_fit(patch.width, patch.height)
         linear = stitcher.linear_best_fit(patch)
@@ -88,10 +92,12 @@ def test_indexed_and_linear_stitchers_stay_byte_identical(size_list, scope):
     hard, exercising lazy invalidation and rebuilds)."""
     patches = _patches(size_list)
     indexed = IncrementalStitcher(
-        PatchStitchingSolver(), use_index=True, repack_scope=scope
+        PatchStitchingSolver(),
+        options=SchedulerOptions(use_index=True, repack_scope=scope),
     )
     linear = IncrementalStitcher(
-        PatchStitchingSolver(), use_index=False, repack_scope=scope
+        PatchStitchingSolver(),
+        options=SchedulerOptions(use_index=False, repack_scope=scope),
     )
     for patch in patches:
         plan_i = indexed.probe(patch)
@@ -115,10 +121,12 @@ def test_randomized_deep_stream_equivalence():
     sizes = list(zip(rng.uniform(64, 640, 600), rng.uniform(64, 640, 600)))
     patches = _patches(sizes)
     indexed = IncrementalStitcher(
-        PatchStitchingSolver(), use_index=True, repack_scope="canvas"
+        PatchStitchingSolver(),
+        options=SchedulerOptions(use_index=True, repack_scope="canvas"),
     )
     linear = IncrementalStitcher(
-        PatchStitchingSolver(), use_index=False, repack_scope="canvas"
+        PatchStitchingSolver(),
+        options=SchedulerOptions(use_index=False, repack_scope="canvas"),
     )
     for patch in patches:
         assert indexed._index.best_fit(
@@ -138,7 +146,10 @@ def test_randomized_deep_stream_equivalence():
 
 # ------------------------------------------------------------- maintenance
 def test_index_tracks_live_pools_after_mutations():
-    stitcher = IncrementalStitcher(PatchStitchingSolver(), use_index=True)
+    stitcher = IncrementalStitcher(
+        PatchStitchingSolver(),
+        options=SchedulerOptions(use_index=True),
+    )
     for patch in _patches([(400.0, 300.0), (600.0, 500.0), (90.0, 80.0)]):
         stitcher.add(patch)
     index = stitcher._index
@@ -188,7 +199,8 @@ def test_compaction_bounds_total_entries():
 
 def test_oversized_canvases_are_never_indexed():
     stitcher = IncrementalStitcher(
-        PatchStitchingSolver(canvas_width=1024, canvas_height=1024), use_index=True
+        PatchStitchingSolver(canvas_width=1024, canvas_height=1024),
+        options=SchedulerOptions(use_index=True),
     )
     stitcher.add(_patches([(2048.0, 1100.0)])[0])
     assert stitcher._index.live_entries == 0
@@ -197,13 +209,19 @@ def test_oversized_canvases_are_never_indexed():
 
 
 def test_use_index_false_has_no_index():
-    stitcher = IncrementalStitcher(PatchStitchingSolver(), use_index=False)
+    stitcher = IncrementalStitcher(
+        PatchStitchingSolver(),
+        options=SchedulerOptions(use_index=False),
+    )
     assert stitcher._index is None
     assert stitcher.index_stats == {}
 
 
 def test_full_repack_equivalent_mode_skips_the_index():
-    stitcher = IncrementalStitcher(PatchStitchingSolver(), always_repack=True)
+    stitcher = IncrementalStitcher(
+        PatchStitchingSolver(),
+        options=SchedulerOptions(full_repack_equivalent=True),
+    )
     assert stitcher._index is None
 
 
@@ -236,8 +254,7 @@ def test_scheduler_metrics_identical_with_and_without_index():
             estimator=estimator,
             latency_model=latency_model,
             streams=RandomStreams(6),
-            use_index=use_index,
-            repack_scope="canvas",
+            options=SchedulerOptions(use_index=use_index, repack_scope="canvas"),
         )
         for patch, arrival in zip(trace, gen_times):
             simulator.schedule_at(
@@ -264,6 +281,12 @@ def test_scheduler_metrics_identical_with_and_without_index():
 
 def test_invalid_knobs_rejected():
     with pytest.raises(ValueError):
-        IncrementalStitcher(PatchStitchingSolver(), repack_scope="frame")
+        IncrementalStitcher(
+            PatchStitchingSolver(),
+            options=SchedulerOptions(repack_scope="frame"),
+        )
     with pytest.raises(ValueError):
-        IncrementalStitcher(PatchStitchingSolver(), max_partial_victims=0)
+        IncrementalStitcher(
+            PatchStitchingSolver(),
+            options=SchedulerOptions(max_partial_victims=0),
+        )

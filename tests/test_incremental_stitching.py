@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
 from repro.core.stitching import (
     Canvas,
@@ -87,7 +88,10 @@ def test_always_repack_mode_is_identical_to_batch_packer(size_list):
     """Full-repack-equivalent mode reproduces the batch packer placement
     for placement — the scheduler equivalence tests build on this."""
     patches = _patches(size_list)
-    stitcher = IncrementalStitcher(PatchStitchingSolver(), always_repack=True)
+    stitcher = IncrementalStitcher(
+        PatchStitchingSolver(),
+        options=SchedulerOptions(full_repack_equivalent=True),
+    )
     for patch in patches:
         stitcher.add(patch)
     batch = PatchStitchingSolver().pack(patches)
@@ -201,7 +205,10 @@ def test_free_rectangle_pool_never_contains_nested_rectangles():
 
 def test_negative_drift_margin_rejected():
     with pytest.raises(ValueError):
-        IncrementalStitcher(PatchStitchingSolver(), drift_margin=-0.1)
+        IncrementalStitcher(
+            PatchStitchingSolver(),
+            options=SchedulerOptions(drift_margin=-0.1),
+        )
 
 
 # ------------------------------------------------------------ partial re-pack
@@ -213,7 +220,8 @@ def test_partial_repack_invariants_hold(size_list):
     # A tiny budget pushes the queue past the whole-queue re-pack regime
     # quickly, so genuine partial (victim) re-packs get exercised.
     stitcher = IncrementalStitcher(
-        PatchStitchingSolver(), repack_scope="canvas", partial_patch_budget=8
+        PatchStitchingSolver(),
+        options=SchedulerOptions(repack_scope="canvas", partial_patch_budget=8),
     )
     patches = _patches(size_list)
     for patch in patches:
@@ -227,7 +235,8 @@ def test_partial_repack_invariants_hold(size_list):
 @given(st.lists(patch_sizes, min_size=1, max_size=40))
 def test_partial_repack_probe_predicts_committed_counts(size_list):
     stitcher = IncrementalStitcher(
-        PatchStitchingSolver(), repack_scope="canvas", partial_patch_budget=8
+        PatchStitchingSolver(),
+        options=SchedulerOptions(repack_scope="canvas", partial_patch_budget=8),
     )
     for patch in _patches(size_list):
         plan = stitcher.probe(patch)
@@ -249,7 +258,8 @@ def test_partial_repack_never_lowers_mean_efficiency_vs_no_repack(size_list):
     diverge early are not comparable end-to-end, so the no-re-pack
     alternative is evaluated on the identical packing state.)"""
     stitcher = IncrementalStitcher(
-        PatchStitchingSolver(), repack_scope="canvas", partial_patch_budget=8
+        PatchStitchingSolver(),
+        options=SchedulerOptions(repack_scope="canvas", partial_patch_budget=8),
     )
     solver = stitcher.solver
     for patch in _patches(size_list):
@@ -277,7 +287,8 @@ def test_partial_repack_consolidates_on_fragmented_canvases():
         rng_sizes.extend([(140.0 + block, 130.0)] * 5)
         rng_sizes.append((880.0, 900.0 - block))
     stitcher = IncrementalStitcher(
-        PatchStitchingSolver(), repack_scope="canvas", partial_patch_budget=24
+        PatchStitchingSolver(),
+        options=SchedulerOptions(repack_scope="canvas", partial_patch_budget=24),
     )
     for patch in _patches(rng_sizes):
         stitcher.add(patch)
@@ -293,7 +304,10 @@ def test_canvas_scope_small_queue_repacks_whole_queue():
     the whole queue (budget-bounded), tracking the batch packer exactly."""
     small = [(120.0, 120.0)] * 30
     large = [(900.0, 900.0)] * 4
-    stitcher = IncrementalStitcher(PatchStitchingSolver(), repack_scope="canvas")
+    stitcher = IncrementalStitcher(
+        PatchStitchingSolver(),
+        options=SchedulerOptions(repack_scope="canvas"),
+    )
     for patch in _patches(small + large):
         stitcher.add(patch)
     assert stitcher.stats["full_repacks"] >= 1
@@ -319,13 +333,14 @@ class TestAdaptiveBudget:
         kw.setdefault("partial_patch_budget", 48)
         return IncrementalStitcher(
             PatchStitchingSolver(),
-            repack_scope="canvas",
-            adaptive_budget=True,
-            **kw,
+            options=SchedulerOptions(repack_scope="canvas", adaptive_budget=True, **kw),
         )
 
     def test_static_when_off_or_shallow(self):
-        static = IncrementalStitcher(PatchStitchingSolver(), repack_scope="canvas")
+        static = IncrementalStitcher(
+            PatchStitchingSolver(),
+            options=SchedulerOptions(repack_scope="canvas"),
+        )
         assert static.effective_patch_budget == static.partial_patch_budget
         adaptive = self._deep_stitcher()
         # Empty queue is as shallow as it gets: static behaviour.
@@ -381,7 +396,10 @@ class TestAdaptiveBudget:
             )
         )
         adaptive = self._deep_stitcher()
-        static = IncrementalStitcher(PatchStitchingSolver(), repack_scope="canvas")
+        static = IncrementalStitcher(
+            PatchStitchingSolver(),
+            options=SchedulerOptions(repack_scope="canvas"),
+        )
         for patch in patches:
             adaptive.add(patch)
             static.add(patch)
@@ -402,7 +420,10 @@ class TestAdaptiveBudget:
             )
         )
         adaptive = self._deep_stitcher()
-        static = IncrementalStitcher(PatchStitchingSolver(), repack_scope="canvas")
+        static = IncrementalStitcher(
+            PatchStitchingSolver(),
+            options=SchedulerOptions(repack_scope="canvas"),
+        )
         for patch in patches:
             adaptive.add(patch)
             static.add(patch)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.latency import LatencyEstimator
+from repro.core.options import SchedulerOptions
 from repro.core.scheduler import TangramScheduler
 from repro.core.stitching import PatchStitchingSolver
 from repro.serverless.platform import ServerlessPlatform
@@ -112,14 +113,14 @@ def test_full_repack_equivalent_mode_metrics_are_identical():
     """The regression guarantee: fast path on (equivalence mode) and off
     produce byte-identical BatchRecord metrics on a mixed arrival trace."""
     trace = _materialise(_arrival_trace())
-    literal = _run_trace(trace, incremental=False)
-    equivalent = _run_trace(trace, incremental=True, full_repack_equivalent=True)
+    literal = _run_trace(trace, options=SchedulerOptions(incremental=False))
+    equivalent = _run_trace(trace, options=SchedulerOptions(full_repack_equivalent=True))
     assert _batch_metrics(literal) == _batch_metrics(equivalent)
 
 
 def test_fast_path_meets_slos_on_steady_load():
     simulator = Simulator()
-    scheduler = _scheduler(simulator, incremental=True)
+    scheduler = _scheduler(simulator, options=SchedulerOptions(incremental=True))
     arrival = 0.0
     for _ in range(60):
         arrival += 0.03
@@ -138,7 +139,7 @@ def test_fast_path_respects_memory_constraint():
     simulator = Simulator()
     scheduler = _scheduler(
         simulator,
-        incremental=True,
+        options=SchedulerOptions(incremental=True),
         gpu_memory_gb=6.0,
         model_memory_gb=2.5,
         canvas_memory_gb=0.35,
@@ -159,7 +160,7 @@ def test_fast_path_respects_memory_constraint():
 
 def test_fast_path_flush_resets_packer_state():
     simulator = Simulator()
-    scheduler = _scheduler(simulator, incremental=True)
+    scheduler = _scheduler(simulator, options=SchedulerOptions(incremental=True))
     patch = make_patch(200, 200, generation_time=0.0, slo=10.0)
     simulator.schedule_at(0.0, lambda sim: scheduler.receive_patch(patch))
     simulator.run(until=0.1)
@@ -178,7 +179,7 @@ def test_fast_path_flush_resets_packer_state():
 def test_fast_path_uses_incremental_placements():
     """The point of the fast path: most arrivals must not re-pack."""
     trace = _arrival_trace(count=120, seed=3)
-    scheduler = _run_trace(trace, incremental=True)
+    scheduler = _run_trace(trace, options=SchedulerOptions(incremental=True))
     stats = scheduler.packing_stats
     assert stats["probes"] == 120
     assert stats["incremental_placements"] > stats["full_repacks"]
@@ -195,8 +196,8 @@ def test_fast_path_tracks_earliest_deadline_like_literal_mode():
             (200.0, 200.0, 0.1, 4.0),
         ]
     )
-    literal = _run_trace(trace, incremental=False)
-    fast = _run_trace(trace, incremental=True, full_repack_equivalent=True)
+    literal = _run_trace(trace, options=SchedulerOptions(incremental=False))
+    fast = _run_trace(trace, options=SchedulerOptions(full_repack_equivalent=True))
     assert [b.invoke_time for b in literal.batches] == [
         b.invoke_time for b in fast.batches
     ]
@@ -208,8 +209,8 @@ def test_incremental_mode_stays_close_to_literal_metrics():
     """Default fast path: aggregate metrics stay within a few percent of
     the literal implementation (cost, violations, canvas efficiency)."""
     trace = _arrival_trace(count=120, seed=9)
-    literal = _run_trace(trace, incremental=False)
-    fast = _run_trace(trace, incremental=True)
+    literal = _run_trace(trace, options=SchedulerOptions(incremental=False))
+    fast = _run_trace(trace, options=SchedulerOptions(incremental=True))
     assert fast.slo_violation_rate <= literal.slo_violation_rate + 0.05
     lit_eff = np.mean(
         [e for b in literal.completed_batches for e in b.canvas_efficiencies]

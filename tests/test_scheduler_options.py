@@ -1,29 +1,27 @@
 """The SchedulerOptions API: one frozen record for every scheduler knob.
 
-The contract of the redesign (ISSUE 8):
+The contract:
 
 * every knob keeps its historical default, so ``SchedulerOptions()`` is
   the status quo;
-* the legacy per-kwarg surface stays as a thin back-compat layer: an
-  explicitly passed kwarg overrides the matching ``options=`` field, and
-  a kwargs-built object is byte-identical to an options-built one;
-* ``use_index=`` is formally deprecated (superseded by ``canvas_index=``
-  in PR 5) -- passing it explicitly emits ``DeprecationWarning`` on both
-  ``IncrementalStitcher`` and ``TangramScheduler``;
-* ``TangramConfig`` / ``EndToEndConfig`` resolve their scattered
-  ``scheduler_*`` fields into one options record (a provided
-  ``scheduler_options=`` wins wholesale).
+* the record validates itself, including non-finite values;
+* ``options=`` on ``IncrementalStitcher`` / ``TangramScheduler`` and
+  ``scheduler_options`` on ``TangramConfig`` / ``EndToEndConfig`` /
+  ``FleetScenarioConfig`` are the only ways to set a knob.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from repro.core.options import REPACK_SCOPES, SchedulerOptions
+from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
 from repro.core.stitching import IncrementalStitcher, PatchStitchingSolver
 from repro.core.tangram import TangramConfig
+from repro.fleet.scenario import FleetScenarioConfig
 from repro.pipeline.endtoend import EndToEndConfig
 from repro.video.geometry import Box
 
@@ -42,16 +40,6 @@ def _patches(count: int = 160, seed: int = 5) -> list[Patch]:
             rng.uniform(64.0, 512.0, size=count),
             rng.uniform(64.0, 512.0, size=count),
         )
-    ]
-
-
-def _placements(stitcher: IncrementalStitcher) -> list[tuple]:
-    # Keyed by geometry, not patch_id: the id counter is process-global,
-    # so the two equivalence arms' streams number their patches apart.
-    return [
-        (p.patch.region.width, p.patch.region.height, p.x, p.y)
-        for canvas in stitcher.canvases
-        for p in canvas.placements
     ]
 
 
@@ -98,142 +86,56 @@ class TestSchedulerOptionsRecord:
         with pytest.raises(ValueError):
             options.replace(repack_scope="galaxy")
 
-    def test_merged_with_skips_unset_and_overrides_set(self):
-        from repro.core.options import UNSET
+    @pytest.mark.parametrize("drift_margin", [float("nan"), float("-inf")])
+    def test_rejects_non_finite_drift_margin(self, drift_margin):
+        with pytest.raises(ValueError, match="drift_margin"):
+            SchedulerOptions(drift_margin=drift_margin)
 
-        base = SchedulerOptions(consolidation="merge", drift_margin=0.1)
-        merged = base.merged_with(
-            consolidation=UNSET, drift_margin=0.2, canvas_index=UNSET
+    def test_infinite_drift_margin_is_accepted(self):
+        # ``inf`` is a real setting, used by the probe-isolation benches.
+        assert SchedulerOptions(drift_margin=float("inf")).drift_margin == float("inf")
+
+
+class TestConfigCarriers:
+    def test_configs_default_to_the_unconfigured_record(self):
+        assert TangramConfig().scheduler_options == SchedulerOptions()
+        assert EndToEndConfig().scheduler_options == SchedulerOptions()
+
+    def test_fleet_default_consolidates_per_canvas(self):
+        assert FleetScenarioConfig().scheduler_options == SchedulerOptions(
+            repack_scope="canvas"
         )
-        assert merged.consolidation == "merge"
-        assert merged.drift_margin == 0.2
-        assert merged.canvas_index is False
 
-    def test_describe_is_json_friendly(self):
-        import json
+    @pytest.mark.parametrize("config_type", [TangramConfig, EndToEndConfig, FleetScenarioConfig])
+    def test_scheduler_options_is_the_only_knob_carrier(self, config_type):
+        names = {knob.name for knob in fields(config_type)}
+        assert {n for n in names if n.startswith("scheduler")} == {"scheduler_options"}
+        assert not names & set(SchedulerOptions.__dataclass_fields__)
 
-        payload = SchedulerOptions().describe()
-        assert json.loads(json.dumps(payload))["repack_scope"] in REPACK_SCOPES
+    def test_tangram_config_options_reach_solver_and_scheduler(self):
+        from repro.core.tangram import Tangram
+        from repro.serverless.platform import ServerlessPlatform
+        from repro.simulation.engine import Simulator
 
+        record = SchedulerOptions(consolidation="merge", canvas_structure="guillotine")
+        tangram = Tangram(TangramConfig(latency_profile_iterations=10, scheduler_options=record))
+        simulator = Simulator()
+        scheduler = tangram.build_online_scheduler(simulator, ServerlessPlatform(simulator))
+        assert tangram.solver.canvas_structure == "guillotine"
+        assert scheduler.options is record
+        assert scheduler._packer.options is record
 
-class TestBackCompatEquivalence:
-    def test_stitcher_kwargs_equal_options(self):
-        kwargs = dict(
+    def test_stitcher_reads_every_knob_from_options(self):
+        record = SchedulerOptions(
             repack_scope="canvas",
-            consolidation="merge",
             canvas_index=True,
             max_partial_victims=4,
             partial_patch_budget=32,
         )
-        via_kwargs = IncrementalStitcher(PatchStitchingSolver(), **kwargs)
-        via_options = IncrementalStitcher(
-            PatchStitchingSolver(), options=SchedulerOptions(**kwargs)
-        )
+        stitcher = IncrementalStitcher(PatchStitchingSolver(), options=record)
         for patch in _patches():
-            via_kwargs.add(patch)
-        for patch in _patches():
-            via_options.add(patch)
-        assert _placements(via_kwargs) == _placements(via_options)
-        assert via_kwargs.options == via_options.options
-
-    def test_explicit_kwarg_overrides_options_field(self):
-        stitcher = IncrementalStitcher(
-            PatchStitchingSolver(),
-            options=SchedulerOptions(consolidation="repack"),
-            consolidation="merge",
-        )
-        assert stitcher.options.consolidation == "merge"
-
-    def test_always_repack_maps_to_full_repack_equivalent(self):
-        stitcher = IncrementalStitcher(PatchStitchingSolver(), always_repack=True)
-        assert stitcher.options.full_repack_equivalent is True
-
-
-class TestUseIndexDeprecation:
-    def test_stitcher_warns(self):
-        with pytest.warns(DeprecationWarning, match="canvas_index"):
-            stitcher = IncrementalStitcher(PatchStitchingSolver(), use_index=False)
-        assert stitcher.options.use_index is False
-
-    def test_scheduler_warns(self):
-        from repro.core.latency import LatencyEstimator
-        from repro.core.scheduler import TangramScheduler
-        from repro.serverless.platform import ScalingPolicy, ServerlessPlatform
-        from repro.simulation.engine import Simulator
-        from repro.simulation.random_streams import RandomStreams
-        from repro.vision.detector import DetectorLatencyModel
-
-        simulator = Simulator()
-        streams = RandomStreams(3)
-        model = DetectorLatencyModel.serverless()
-        platform = ServerlessPlatform(
-            simulator, scaling=ScalingPolicy(max_instances=2)
-        )
-        estimator = LatencyEstimator(
-            latency_model=model,
-            canvas_width=1024.0,
-            canvas_height=1024.0,
-            iterations=10,
-            streams=streams.spawn("estimator"),
-        )
-        with pytest.warns(DeprecationWarning, match="canvas_index"):
-            scheduler = TangramScheduler(
-                simulator,
-                platform,
-                estimator=estimator,
-                latency_model=model,
-                streams=streams.spawn("scheduler"),
-                use_index=False,
-            )
-        assert scheduler.options.use_index is False
-
-    def test_options_path_does_not_warn(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            stitcher = IncrementalStitcher(
-                PatchStitchingSolver(),
-                options=SchedulerOptions(use_index=False),
-            )
-        assert stitcher.options.use_index is False
-
-
-class TestConfigResolution:
-    def test_tangram_config_maps_scattered_fields(self):
-        config = TangramConfig(
-            scheduler_incremental=False,
-            scheduler_drift_margin=0.2,
-            scheduler_repack_scope="canvas",
-            scheduler_consolidation="merge",
-            canvas_structure="guillotine",
-        )
-        options = config.resolved_scheduler_options()
-        assert options.incremental is False
-        assert options.drift_margin == 0.2
-        assert options.repack_scope == "canvas"
-        assert options.consolidation == "merge"
-        assert options.canvas_structure == "guillotine"
-
-    def test_tangram_config_options_win_wholesale(self):
-        record = SchedulerOptions(consolidation="repack", drift_margin=0.3)
-        config = TangramConfig(
-            scheduler_consolidation="merge", scheduler_options=record
-        )
-        assert config.resolved_scheduler_options() is record
-
-    def test_endtoend_config_maps_scattered_fields(self):
-        config = EndToEndConfig(
-            scheduler_repack_scope="canvas",
-            scheduler_consolidation="merge",
-            scheduler_canvas_index=True,
-        )
-        options = config.resolved_scheduler_options()
-        assert options.repack_scope == "canvas"
-        assert options.consolidation == "merge"
-        assert options.canvas_index is True
-
-    def test_endtoend_config_options_win_wholesale(self):
-        record = SchedulerOptions(repack_scope="canvas")
-        config = EndToEndConfig(scheduler_options=record)
-        assert config.resolved_scheduler_options() is record
+            stitcher.add(patch)
+        assert stitcher.options is record
+        assert (stitcher.max_partial_victims, stitcher.partial_patch_budget) == (4, 32)
+        assert stitcher.canvas_index_stats
+        assert stitcher.index_stats == {}

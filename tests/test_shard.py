@@ -9,19 +9,20 @@ The tentpole contracts (ISSUE 8):
   planning shape: it commits only migrations whose planned loads leave
   the target strictly colder than the source, and never overshoots;
 * ``shards=1`` is **byte-identical** to the single-scheduler path --
-  same per-batch keys (times, cost, efficiencies, placements, outcomes)
-  and same counters;
+  the per-batch keys (times, cost, efficiencies, placements, outcomes)
+  and counters recorded from the original unsharded runner;
 * ``shards=4`` is deterministic (replay-identical counters) and loses no
   patches on the fault-free stream.
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 
 import pytest
 
-from repro.fleet.scenario import FleetScenarioConfig, run_fleet_scenario
+from repro.fleet.scenario import FleetScenarioConfig
 from repro.fleet.shard import (
     ShardRouter,
     ShardScenarioConfig,
@@ -226,11 +227,20 @@ class TestShardScenarioConfig:
 # ----------------------------------------------------------------- end to end
 class TestShardedScenario:
     def test_shards_1_is_byte_identical_to_unsharded(self):
-        base = _base(record_placements=True)
-        reference = run_fleet_scenario(base)
-        sharded = run_sharded_scenario(ShardScenarioConfig(base=base, shards=1))
-        assert sharded.fleet.batch_keys == reference.batch_keys
-        assert sharded.fleet.counters() == reference.counters()
+        # Recorded from the original single-scheduler runner on this config:
+        # sha256 of repr(batch_keys), and every non-zero counter.
+        sharded = run_sharded_scenario(
+            ShardScenarioConfig(base=_base(record_placements=True), shards=1)
+        )
+        digest = hashlib.sha256(repr(sharded.fleet.batch_keys).encode()).hexdigest()
+        assert digest == "533a988c348d28539de0794316e07bfcbb04627318a5cc79dc1a47ea2b5ffbd6"
+        assert {k: v for k, v in sharded.fleet.counters().items() if v} == {
+            "expected_base": 288, "captured_base": 288, "admitted_base": 288,
+            "slo_violations": 2, "completed_patches": 288, "num_batches": 4,
+            "num_canvases": 12, "ingest_admitted": 288, "ingest_max_pending": 1,
+            "transfer_attempts": 288, "transfer_delivered": 288,
+            "transfer_transfers": 288, "liveness_suspect": 12,
+        }
         assert sharded.shards == 1
         assert sharded.routing["steals_committed"] == 0
 
