@@ -110,12 +110,11 @@ def main(argv=None) -> int:
         "consolidation speedup drops below this (default 1.5)",
     )
     parser.add_argument(
-        "--min-canvas-index-speedup",
+        "--min-adaptive-speedup",
         type=float,
         default=1.3,
-        help="--check fails when the depth-4096 canvas-admission-index "
-        "(+ adaptive budget) speedup over the PR-4 fleet path drops "
-        "below this (default 1.3)",
+        help="--check fails when the depth-4096 adaptive-budget speedup "
+        "over the static-budget fleet path drops below this (default 1.3)",
     )
     parser.add_argument(
         "--min-fleet-efficiency-ratio",
@@ -254,7 +253,7 @@ def main(argv=None) -> int:
             min_efficiency_ratio=args.min_efficiency_ratio,
             min_skyline_speedup=args.min_skyline_speedup,
             min_consolidation_speedup=args.min_consolidation_speedup,
-            min_canvas_index_speedup=args.min_canvas_index_speedup,
+            min_adaptive_speedup=args.min_adaptive_speedup,
             min_fleet_efficiency_ratio=args.min_fleet_efficiency_ratio,
             max_fleet_overreaction=args.max_fleet_overreaction,
             min_sharded_speedup=args.min_sharded_speedup,

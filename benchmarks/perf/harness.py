@@ -168,7 +168,6 @@ def _make_timed_trace(count: int, seed: int, slo: float = 2.0, spacing: float = 
 
 
 def _build_scheduler(
-    incremental: bool,
     gpu_memory_gb: float = 1e6,
     **knobs,
 ):
@@ -201,7 +200,7 @@ def _build_scheduler(
         gpu_memory_gb=gpu_memory_gb,
         model_memory_gb=2.5,
         canvas_memory_gb=0.35,
-        options=SchedulerOptions(incremental=incremental, **knobs),
+        options=SchedulerOptions(**knobs),
     )
     return simulator, scheduler
 
@@ -263,9 +262,9 @@ def bench_validate_packing() -> BenchResult:
     )
 
 
-def _bench_scheduler_arrival(incremental: bool, name: str) -> BenchResult:
+def _bench_scheduler_arrival(name: str, **knobs) -> BenchResult:
     patches = _make_patches(ARRIVAL_QUEUE_DEPTH, seed=17)
-    simulator, scheduler = _build_scheduler(incremental)
+    simulator, scheduler = _build_scheduler(**knobs)
     start = time.perf_counter()
     for patch in patches:
         scheduler.receive_patch(patch)
@@ -273,20 +272,21 @@ def _bench_scheduler_arrival(incremental: bool, name: str) -> BenchResult:
     meta: Dict[str, object] = {
         "queue_depth": ARRIVAL_QUEUE_DEPTH,
         "pending_canvases": scheduler.pending_canvases,
+        "packing_stats": scheduler.packing_stats,
     }
-    if incremental:
-        meta["packing_stats"] = scheduler.packing_stats
     return BenchResult(name, elapsed, meta)
 
 
 def bench_scheduler_arrival_full() -> BenchResult:
     """The literal Algorithm 2 arrival path: full re-pack per arrival."""
-    return _bench_scheduler_arrival(False, "scheduler_arrival_full_256")
+    return _bench_scheduler_arrival(
+        "scheduler_arrival_full_256", full_repack_equivalent=True
+    )
 
 
 def bench_scheduler_arrival_fast() -> BenchResult:
     """The incremental fast path at the same queue depth."""
-    return _bench_scheduler_arrival(True, "scheduler_arrival_fast_256")
+    return _bench_scheduler_arrival("scheduler_arrival_fast_256")
 
 
 def _bench_deep_arrival(
@@ -296,7 +296,7 @@ def _bench_deep_arrival(
     ``receive_patch`` with a huge SLO and unconstrained memory so the
     queue only grows, and time the arrival path alone."""
     simulator, scheduler = _build_scheduler(
-        True, canvas_structure=canvas_structure, **scheduler_kwargs
+        canvas_structure=canvas_structure, **scheduler_kwargs
     )
     start = time.perf_counter()
     for patch in patches:
@@ -317,9 +317,6 @@ def _bench_deep_arrival(
     index_stats = scheduler.index_stats
     if index_stats:
         meta["index_stats"] = index_stats
-    canvas_index_stats = scheduler.canvas_index_stats
-    if canvas_index_stats:
-        meta["canvas_index_stats"] = canvas_index_stats
     consolidation_stats = scheduler.consolidation_stats
     if consolidation_stats and consolidation_stats.get("attempts"):
         meta["consolidation_stats"] = consolidation_stats
@@ -412,23 +409,18 @@ def bench_arrival_fleet_guillotine_4096() -> BenchResult:
     )
 
 
-def bench_arrival_canvasindex_4096() -> BenchResult:
-    """The arrival-path capstone at depth 4096: the canvas admission
-    index (one vectorised capability summary per canvas instead of the
-    per-rectangle bucket index) plus adaptive re-pack budgets (the
-    consolidation budget ramps floor-to-knob with the overflow streak
-    once the queue is fleet-deep), on the same fleet mix as
+def bench_arrival_adaptive_4096() -> BenchResult:
+    """The fleet configuration plus adaptive re-pack budgets at depth
+    4096 (the consolidation budget ramps floor-to-knob with the overflow
+    streak once the queue is fleet-deep), on the same fleet mix as
     ``scheduler_arrival_fleet_4096`` — the gated pair's fast arm
-    (``canvas_index_speedup_4096`` >= 1.3x over that PR-4 path).
-    Canvas-index decisions alone are byte-identical to the PR-4 arm
-    (pinned by ``tests/test_canvas_index.py``); the headroom past par
-    comes from the budget ramp, whose quality drift the
-    ``canvas_index_stream_efficiency_ratio`` gate bounds."""
+    (``adaptive_budget_speedup_4096`` >= 1.3x over that path).  The
+    speedup comes from the budget ramp, whose quality drift the
+    ``adaptive_stream_efficiency_ratio`` gate bounds."""
     return _bench_deep_arrival(
-        "scheduler_arrival_canvasindex_4096",
+        "scheduler_arrival_adaptive_4096",
         _make_patches(4096, seed=19),
-        use_index=False,
-        canvas_index=True,
+        use_index=True,
         adaptive_budget=True,
         repack_scope="canvas",
     )
@@ -549,7 +541,6 @@ def _bench_scheduler_stream(
     small-queue whole-queue re-pack."""
     patches = _make_timed_trace(2048, seed=31)
     simulator, scheduler = _build_scheduler(
-        True,
         gpu_memory_gb=60.0,
         canvas_structure=canvas_structure,
         **scheduler_kwargs,
@@ -608,18 +599,16 @@ def bench_stream_partial_guillotine_2048() -> BenchResult:
     )
 
 
-def bench_stream_canvasindex_2048() -> BenchResult:
-    """The realistic stream under the capstone configuration (canvas
-    admission index + adaptive budgets).  Its mean canvas efficiency
-    against ``scheduler_stream_partial_2048`` is the committed
-    ``canvas_index_stream_efficiency_ratio`` (gated at >= 0.99): the
-    index is byte-identical and the budget ramp only engages on
-    fleet-deep queues, so at this stream's ~100-patch depths the
-    decisions — hence the ratio — should stay exactly 1.0."""
+def bench_stream_adaptive_2048() -> BenchResult:
+    """The realistic stream with adaptive budgets.  Its mean canvas
+    efficiency against ``scheduler_stream_partial_2048`` is the committed
+    ``adaptive_stream_efficiency_ratio`` (gated at >= 0.99): the budget
+    ramp only engages on fleet-deep queues, so at this stream's
+    ~100-patch depths the decisions — hence the ratio — should stay
+    exactly 1.0."""
     return _bench_scheduler_stream(
-        "scheduler_stream_canvasindex_2048",
+        "scheduler_stream_adaptive_2048",
         repack_scope="canvas",
-        canvas_index=True,
         adaptive_budget=True,
     )
 
@@ -908,7 +897,7 @@ SECTIONS: Dict[str, Callable[[], BenchResult]] = {
     "scheduler_arrival_pr1_4096": bench_arrival_pr1_4096,
     "scheduler_arrival_fleet_4096": bench_arrival_fleet_4096,
     "scheduler_arrival_fleet_guillotine_4096": bench_arrival_fleet_guillotine_4096,
-    "scheduler_arrival_canvasindex_4096": bench_arrival_canvasindex_4096,
+    "scheduler_arrival_adaptive_4096": bench_arrival_adaptive_4096,
     "stitching_fleet_repack_guillotine_4096": bench_fleet_repack_guillotine,
     "stitching_fleet_repack_skyline_4096": bench_fleet_repack_skyline,
     "scheduler_arrival_heavytail_1024": bench_arrival_heavytail_1024,
@@ -920,7 +909,7 @@ SECTIONS: Dict[str, Callable[[], BenchResult]] = {
     "scheduler_stream_batchpack_2048": bench_stream_batch_packer_2048,
     "scheduler_stream_partial_2048": bench_stream_partial_repack_2048,
     "scheduler_stream_partial_guillotine_2048": bench_stream_partial_guillotine_2048,
-    "scheduler_stream_canvasindex_2048": bench_stream_canvasindex_2048,
+    "scheduler_stream_adaptive_2048": bench_stream_adaptive_2048,
     "scheduler_stream_merge_2048": bench_stream_merge_2048,
     "gmm_frame_loop": bench_gmm_frame_loop,
     "end_to_end_small": bench_end_to_end,
@@ -956,7 +945,7 @@ def profile_arrival(depth: int = 4096, mix: str = "fleet") -> Dict[str, object]:
     else:
         raise ValueError(f"unknown profile mix {mix!r} (use 'fleet' or 'crowded')")
     _simulator, scheduler = _build_scheduler(
-        True, use_index=True, repack_scope="canvas", **scheduler_kwargs
+        use_index=True, repack_scope="canvas", **scheduler_kwargs
     )
     packer = scheduler._packer
     engine = packer._consolidation
@@ -1065,11 +1054,9 @@ def _derive(sections: Dict[str, Dict[str, object]]) -> Dict[str, float]:
     fleet = _ratio("scheduler_arrival_pr1_4096", "scheduler_arrival_fleet_4096")
     if fleet is not None:
         derived["arrival_fleet_speedup_4096"] = fleet
-    canvasindex = _ratio(
-        "scheduler_arrival_fleet_4096", "scheduler_arrival_canvasindex_4096"
-    )
-    if canvasindex is not None:
-        derived["canvas_index_speedup_4096"] = canvasindex
+    adaptive = _ratio("scheduler_arrival_fleet_4096", "scheduler_arrival_adaptive_4096")
+    if adaptive is not None:
+        derived["adaptive_budget_speedup_4096"] = adaptive
     for depth in (1024, 4096):
         ratio = _ratio(
             f"scheduler_arrival_consolidation_repack_{depth}",
@@ -1102,15 +1089,13 @@ def _derive(sections: Dict[str, Dict[str, object]]) -> Dict[str, float]:
             derived["skyline_stream_efficiency_ratio"] = round(
                 skyline_eff / guillotine_eff, 4
             )
-    canvasindex_stream = sections.get("scheduler_stream_canvasindex_2048")
-    if partial and canvasindex_stream:
+    adaptive_stream = sections.get("scheduler_stream_adaptive_2048")
+    if partial and adaptive_stream:
         reference_eff = float(partial["meta"].get("mean_canvas_efficiency", 0.0))
-        capstone_eff = float(
-            canvasindex_stream["meta"].get("mean_canvas_efficiency", 0.0)
-        )
+        adaptive_eff = float(adaptive_stream["meta"].get("mean_canvas_efficiency", 0.0))
         if reference_eff > 0:
-            derived["canvas_index_stream_efficiency_ratio"] = round(
-                capstone_eff / reference_eff, 4
+            derived["adaptive_stream_efficiency_ratio"] = round(
+                adaptive_eff / reference_eff, 4
             )
     merge_stream = sections.get("scheduler_stream_merge_2048")
     if partial and merge_stream:
@@ -1187,7 +1172,7 @@ def check_against_baseline(
     min_efficiency_ratio: float = 0.99,
     min_skyline_speedup: float = 2.0,
     min_consolidation_speedup: float = 1.5,
-    min_canvas_index_speedup: float = 1.3,
+    min_adaptive_speedup: float = 1.3,
     min_fleet_efficiency_ratio: float = 0.95,
     max_fleet_overreaction: float = 0.05,
     min_sharded_speedup: float = 1.5,
@@ -1233,8 +1218,8 @@ def check_against_baseline(
         ("skyline_stream_efficiency_ratio", min_efficiency_ratio, ""),
         ("consolidation_memo_speedup_4096", min_consolidation_speedup, "x"),
         ("consolidation_stream_efficiency_ratio", min_efficiency_ratio, ""),
-        ("canvas_index_speedup_4096", min_canvas_index_speedup, "x"),
-        ("canvas_index_stream_efficiency_ratio", min_efficiency_ratio, ""),
+        ("adaptive_budget_speedup_4096", min_adaptive_speedup, "x"),
+        ("adaptive_stream_efficiency_ratio", min_efficiency_ratio, ""),
         ("fleet_stream_efficiency_ratio", min_fleet_efficiency_ratio, ""),
         ("sharded_throughput_speedup", min_sharded_speedup, "x"),
     ]

@@ -271,14 +271,8 @@ class Canvas:
         are identical to scanning ``free_rectangles`` directly (the
         size-class index's exactness pin relies on this).
         """
-        return self.best_fit_size(patch.width, patch.height)
-
-    def best_fit_size(
-        self, patch_width: float, patch_height: float
-    ) -> Optional[Tuple[int, float]]:
-        """:meth:`best_fit` by dimensions, for callers without a
-        :class:`~repro.core.patches.Patch` in hand (the canvas admission
-        index probes summaries-first and only then asks the canvas)."""
+        patch_width = patch.width
+        patch_height = patch.height
         if self.skyline is not None:
             return self.skyline.best_fit(patch_width, patch_height)
         best_index = -1

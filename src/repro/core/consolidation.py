@@ -75,7 +75,6 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.core.canvas_index import height_class
 from repro.core.patches import Patch
 
 if TYPE_CHECKING:  # pragma: no cover - stitching imports us lazily
@@ -164,7 +163,6 @@ class ConsolidationEngine:
             "memo_rejects": 0,
             "merges_planned": 0,
             "merge_stalls": 0,
-            "stall_predicted": 0,
         }
 
     # ------------------------------------------------------------- lifecycle
@@ -504,11 +502,6 @@ class MergePolicy(MemoPolicy):
 
     name = "merge"
 
-    #: Gate for the drainable-area stall predictor; instance-overridable
-    #: (the soundness tests compare predicted-doomed drains against the
-    #: full clone-planned probe with the predictor off).
-    use_stall_predictor = True
-
     def plan(self, engine: ConsolidationEngine, patch: Patch) -> Optional["PlacementPlan"]:
         merged = self._plan_merge(engine, patch)
         if merged is not None:
@@ -528,25 +521,15 @@ class MergePolicy(MemoPolicy):
         """Best ``(canvas_index, rect_index)`` for ``migrant`` among the
         victim's siblings, seeing pending trial placements via clones.
 
-        The first probe of each migration goes through whichever probe
-        index the stitcher maintains (exact global BSSF, excluding the
-        victim); once any target holds trial placements the indexes are
+        The first probe of each migration goes through the stitcher's
+        probe index when it has one (exact global BSSF, excluding the
+        victim); once any target holds trial placements the index is
         stale for it, so later probes fall back to the clone-aware
         linear scan.
         """
-        stitcher = engine.stitcher
-        if not clones:
-            exclude = frozenset((worst,))
-            if stitcher._canvas_index is not None:
-                fit = stitcher._canvas_index.best_fit(
-                    migrant.width, migrant.height, exclude=exclude
-                )
-            elif stitcher._index is not None:
-                fit = stitcher._index.best_fit(
-                    migrant.width, migrant.height, exclude=exclude
-                )
-            else:
-                fit = self._scan_siblings(canvases, clones, worst, migrant)
+        index = engine.stitcher._index
+        if not clones and index is not None:
+            fit = index.best_fit(migrant.width, migrant.height, exclude=frozenset((worst,)))
         else:
             fit = self._scan_siblings(canvases, clones, worst, migrant)
         if fit is None:
@@ -575,77 +558,6 @@ class MergePolicy(MemoPolicy):
             return None
         return best[1], best[2], best[0]
 
-    @staticmethod
-    def drain_is_doomed(
-        engine: ConsolidationEngine,
-        patch: Patch,
-        victim: "Canvas",
-        canvases: List["Canvas"],
-        worst: int,
-    ) -> bool:
-        """The drainable-area stall predictor: ``True`` when *no* drain
-        of ``victim`` can ever make room for ``patch``, so the
-        clone-planned probe is provably wasted work.
-
-        A drain succeeds only when the un-migrated remainder plus the
-        incoming patch re-pack onto one canvas, which at minimum
-        requires draining ``need = victim_used + patch_area -
-        canvas_area`` of resident area.  Two over-approximations bound
-        what is drainable from the same capability summaries the
-        admission index maintains (:func:`~repro.core.canvas_index.
-        fit_profile`):
-
-        * a resident can only migrate if it fits a sibling free
-          rectangle at some drain step; every such rectangle is
-          dominated dimension-wise by one of the sibling's *initial*
-          candidates (placements only shrink free space, and any
-          later candidate sits inside the start-of-drain free area a
-          maximal initial candidate covers), so a resident taller/wider
-          than the siblings' **aggregated fit profile** admits can
-          never move;
-        * total migrated area cannot exceed the siblings' **combined
-          free area**.
-
-        Both bounds are upper bounds on true drainability, so a
-        rejection here is conservative: the full probe would have
-        stalled too (pinned by the soundness tests — unlike the
-        tempting per-victim max-free-extent pre-check PR 4 measured
-        *unsound* for trial re-packs, which conjure new room; a drain
-        migrates into *existing* sibling rectangles, which is what
-        makes this bound exact-safe).
-
-        The prediction must be cheaper than the drain probes it saves,
-        so it only consults summaries that are already *maintained*:
-        the aggregate is one vectorised reduction over the admission
-        index's live rows and the free capacity is O(1) from the
-        stitcher's drift bookkeeping.  Without the ``canvas_index``
-        knob there is nothing maintained to consult — re-deriving
-        profiles per attempt costs more than a stalling drain — so the
-        predictor stands down and the drain probes decide as before.
-        """
-        stitcher = engine.stitcher
-        index = stitcher._canvas_index
-        if index is None or index.num_slots != len(canvases):
-            return False  # no maintained summaries; let the probes decide
-        need = victim.used_area + patch.area - stitcher.solver.canvas_area
-        if need <= 0:
-            return False  # the incoming patch may fit without any draining
-        # Every standard canvas shares the solver's dimensions, so the
-        # siblings' combined free area falls out of the drift totals.
-        sibling_area = (stitcher._active_count - 1) * stitcher.solver.canvas_area
-        sibling_free = sibling_area - (stitcher._active_used - victim.used_area)
-        if sibling_free < need:
-            return True  # not even the combined free area suffices
-        aggregate = index.aggregate_profile(exclude=worst)
-        drainable = 0.0
-        for placement in victim.placements:
-            resident = placement.patch
-            if aggregate[height_class(resident.height)] >= resident.width:
-                drainable += resident.area
-        if drainable > sibling_free:
-            drainable = sibling_free
-        return drainable < need
-
     def _plan_merge(
         self, engine: ConsolidationEngine, patch: Patch
     ) -> Optional["PlacementPlan"]:
@@ -660,15 +572,6 @@ class MergePolicy(MemoPolicy):
         if victim.num_patches > stitcher.effective_patch_budget:
             # Bound the per-overflow migration work the same way the
             # repack path bounds its pooled patch count.
-            return None
-        if self.use_stall_predictor and self.drain_is_doomed(
-            engine, patch, victim, canvases, worst
-        ):
-            # The drainable-area bound proves every drain of this victim
-            # stalls; skip the clone-planned probes entirely (the caller
-            # falls back to the memo-cached trial re-pack, exactly as a
-            # probed stall would).
-            engine.stats["stall_predicted"] += 1
             return None
         solver = stitcher.solver
         clones: Dict[int, "Canvas"] = {}

@@ -32,16 +32,12 @@ touches them, at which point they are skipped and dropped.  A compaction
 rebuild runs when stale entries outnumber live ones 3:1, so memory stays
 proportional to the live pool.
 
-At fleet scale the per-rectangle shape has a sibling: the canvas
-admission index (:mod:`repro.core.canvas_index`, the ``canvas_index``
-option) keeps one capability summary per *canvas* instead, trading this
-module's score-ordered bucket scan for vectorised canvas admission and
-O(1)-per-mutation maintenance.  Each wins somewhere — the per-rectangle
-buckets' lower-bound early exit stays stronger on crop-heavy mixes
-(many tiny demands admit many canvases), the canvas summaries win on
-the uniform fleet mix and after consolidating commits (their rebuild is
-O(canvases), not O(rectangles)) — which is why both shapes remain
-selectable and are pinned byte-identical to the same linear sweep.
+This is the stitcher's only probe index; the linear sweep
+(:meth:`~repro.core.stitching.IncrementalStitcher.linear_best_fit`) stays
+as the oracle it is pinned against.  Per-canvas capability summaries beat
+the per-rectangle buckets on uniform and heavy-tailed mixes by up to a
+quarter but lose the crowded worst case by about a third, and no
+observable input separates the two regimes, so one shape is kept.
 """
 
 from __future__ import annotations

@@ -17,11 +17,11 @@ appear in any online metric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.core.stitching import Canvas, equivalent_canvases
+from repro.core.stitching import Canvas
 from repro.simulation.random_streams import RandomStreams
 from repro.vision.detector import DetectorLatencyModel
 
@@ -61,9 +61,6 @@ class LatencyEstimator:
     sigma_multiplier:
         The number of standard deviations added to the mean.  The paper
         uses 3; SLO-critical deployments can raise it (Section V-B).
-    pixel_bucket:
-        Bucket width (in pixels) for the :meth:`estimate` memo key; 0 (the
-        default) uses one standard canvas of pixels per bucket.
     """
 
     latency_model: DetectorLatencyModel
@@ -72,10 +69,8 @@ class LatencyEstimator:
     iterations: int = 1000
     max_batch_size: int = 16
     sigma_multiplier: float = 3.0
-    pixel_bucket: float = 0.0
     streams: Optional[RandomStreams] = None
     _profiles: Dict[int, LatencyProfile] = field(default_factory=dict)
-    _estimate_cache: Dict[Tuple[int, int, int], float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.iterations < 2:
@@ -122,49 +117,17 @@ class LatencyEstimator:
 
     # ---------------------------------------------------------------- queries
     def slack_time(self, batch_size: int) -> float:
-        """T_slack for a batch of ``batch_size`` canvases."""
+        """T_slack for a batch of ``batch_size`` canvases.
+
+        The scheduler passes a packing's standard-canvas equivalent count
+        (:func:`~repro.core.stitching.equivalent_canvases`), so oversized
+        canvases are charged as the number of standard canvases they
+        cover, rounded up, which keeps the estimate conservative.
+        """
         if batch_size <= 0:
             return 0.0
         profile = self.profile(batch_size)
         return profile.mean + self.sigma_multiplier * profile.std
-
-    def estimate(self, canvases: Sequence[Canvas]) -> float:
-        """T_slack for the given canvases (the online call in Algorithm 2).
-
-        Oversized canvases (patches bigger than the profiled canvas size)
-        are charged as the equivalent number of standard canvases, rounded
-        up, which keeps the estimate conservative.
-
-        Results are memoized on ``(num_canvases, bucketed total pixels,
-        equivalent canvases)``; repeated queue states short-circuit to the
-        cached slack.  (Per-batch-size profiles are themselves cached in
-        ``_profiles``, so the memo is a fast path over the profile lookup,
-        not what prevents re-profiling.)  Including the equivalent-canvas
-        count keeps the memo exact even when several oversized canvases
-        share a pixel bucket, so ``estimate`` always returns the same value
-        as :meth:`slack_time` on the equivalent batch size — the identity
-        the scheduler's fast path relies on.
-        """
-        if not canvases:
-            return 0.0
-        num_canvases = 0
-        total_pixels = 0.0
-        for canvas in canvases:
-            num_canvases += 1
-            total_pixels += canvas.area
-        bucket = self.pixel_bucket if self.pixel_bucket > 0 else self.canvas_pixels
-        equivalent = equivalent_canvases(canvases, self.canvas_pixels)
-        key = (num_canvases, int(total_pixels / bucket), equivalent)
-        cached = self._estimate_cache.get(key)
-        if cached is not None:
-            return cached
-        slack = self.slack_time(max(1, equivalent))
-        self._estimate_cache[key] = slack
-        return slack
-
-    def clear_estimate_cache(self) -> None:
-        """Drop the :meth:`estimate` memo (e.g. after re-profiling)."""
-        self._estimate_cache.clear()
 
     def expected_execution_time(self, canvases: Sequence[Canvas]) -> float:
         """Mean (not slack) execution time for the given canvases."""

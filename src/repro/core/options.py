@@ -29,27 +29,23 @@ REPACK_SCOPES = ("queue", "canvas")
 class SchedulerOptions:
     """Every scheduler/stitcher knob, in one immutable record.
 
-    ``SchedulerOptions()`` is the unconfigured scheduler.  Knobs marked
-    *canvas scope* only matter with ``repack_scope="canvas"``; knobs
-    marked *fast path* only matter with ``incremental=True``.
+    ``SchedulerOptions()`` is the unconfigured scheduler: the incremental
+    fast path, whose packing stays alive across arrivals in an
+    :class:`~repro.core.stitching.IncrementalStitcher`.  Knobs marked
+    *canvas scope* only matter with ``repack_scope="canvas"``.
     """
 
-    #: Incremental fast path: the queue's packing stays alive across
-    #: arrivals in an :class:`~repro.core.stitching.IncrementalStitcher`
-    #: and the earliest deadline is tracked with a running-min heap.
-    #: ``False`` runs the literal Algorithm 2 (full re-pack per arrival).
-    incremental: bool = True
-    #: Fast path: free-space headroom, as a fraction of the arriving
-    #: patch's area, the live canvases may hold before opening another
-    #: canvas triggers a re-pack.  Smaller values re-pack more often and
-    #: track the batch packer more tightly; ``inf`` disables drift
-    #: re-packs (the probe-isolation benchmarks).
+    #: Free-space headroom, as a fraction of the arriving patch's area,
+    #: the live canvases may hold before opening another canvas triggers
+    #: a re-pack.  Smaller values re-pack more often and track the batch
+    #: packer more tightly; ``inf`` disables drift re-packs (the
+    #: probe-isolation benchmarks).
     drift_margin: float = 0.05
-    #: Fast path: what a wasteful overflow re-packs.  ``"queue"``
-    #: re-packs the whole queue (best quality, O(queue) per re-pack);
-    #: ``"canvas"`` consolidates only the few least-efficient canvases,
-    #: which keeps the overflow path flat at fleet-scale queue depths.  A
-    #: consolidation is adopted only when it saves at least one canvas.
+    #: What a wasteful overflow re-packs.  ``"queue"`` re-packs the whole
+    #: queue (best quality, O(queue) per re-pack); ``"canvas"``
+    #: consolidates only the few least-efficient canvases, which keeps the
+    #: overflow path flat at fleet-scale queue depths.  A consolidation is
+    #: adopted only when it saves at least one canvas.
     repack_scope: str = "queue"
     #: Canvas scope: the consolidation policy.  ``"memo"`` runs trial
     #: re-packs behind a victim-pool signature cache (decisions
@@ -61,16 +57,11 @@ class SchedulerOptions:
     #: consolidation attempts.  ``False`` retries on every wasteful
     #: overflow (pair it with ``"memo"``, whose cache subsumes the gate).
     retry_backoff: bool = True
-    #: Fast path: answer probes from the size-class
+    #: Answer probes from the size-class
     #: :class:`~repro.core.freerect_index.FreeRectIndex` instead of a
-    #: linear scan over every free rectangle (identical decisions).
+    #: linear scan over every free rectangle (identical decisions; the
+    #: scan stays as the oracle the index is pinned against).
     use_index: bool = True
-    #: Fast path: answer probes from the fleet-scale
-    #: :class:`~repro.core.canvas_index.CanvasAdmissionIndex`, one
-    #: capability summary per live canvas, so whole canvases are skipped
-    #: without touching their rectangles (identical decisions).  Takes
-    #: precedence over ``use_index``.
-    canvas_index: bool = False
     #: Canvas scope: spend an adaptive pooled-patch budget that starts at
     #: a quarter of ``partial_patch_budget`` and ramps to it with the
     #: wasteful overflows seen since the last committed consolidation.
@@ -81,9 +72,9 @@ class SchedulerOptions:
     #: Canvas scope: cap on the pooled patch count one consolidation may
     #: re-pack (the trial re-pack's cost bound).
     partial_patch_budget: int = 48
-    #: Fast path: keep the incremental plumbing but re-pack the whole
-    #: queue on every arrival, so every decision is byte-identical to
-    #: ``incremental=False`` (equivalence tests only).
+    #: The literal Algorithm 2: re-pack the whole queue on every arrival
+    #: through the same probe/commit plumbing (the reference the fast
+    #: path is measured against; equivalence tests and benches only).
     full_repack_equivalent: bool = False
     #: Canvas free-space structure: ``"skyline"`` or ``"guillotine"`` (see
     #: :class:`~repro.core.skyline.Skyline`).  Applies when the owner

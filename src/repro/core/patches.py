@@ -10,6 +10,7 @@ frame's SLO -- exactly the metadata the paper lists as "Patches' Info".
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -56,10 +57,13 @@ class Patch:
     patch_id: int = field(default_factory=lambda: next(_patch_counter))
 
     def __post_init__(self) -> None:
-        if self.slo <= 0:
-            raise ValueError("slo must be positive")
-        if self.generation_time < 0:
-            raise ValueError("generation_time must be non-negative")
+        # Chained comparisons are false for NaN, so these reject it too.
+        if not 0 < self.slo < math.inf:
+            raise ValueError(f"slo must be positive and finite, got {self.slo!r}")
+        if not 0 <= self.generation_time < math.inf:
+            raise ValueError(
+                f"generation_time must be non-negative and finite, got {self.generation_time!r}"
+            )
 
     # ------------------------------------------------------------- dimensions
     @property

@@ -15,6 +15,12 @@ violate the SLO), or (b) the canvases no longer fit in the function's GPU
 memory alongside the model.  In both cases the new patch starts a fresh
 queue.
 
+The queue's packing lives in an
+:class:`~repro.core.stitching.IncrementalStitcher`, which keeps it alive
+across arrivals instead of re-stitching from scratch; with
+``SchedulerOptions(full_repack_equivalent=True)`` it re-packs the whole
+queue on every arrival, which is the literal Algorithm 2.
+
 :class:`BaseScheduler` factors out the invocation and bookkeeping machinery
 (execution-time sampling, billing, per-patch latency and SLO accounting) so
 the baseline scheduling policies (Clipper, MArk, ELF) in
@@ -227,10 +233,10 @@ class TangramScheduler(BaseScheduler):
     canvas_memory_gb:
         GPU memory one canvas occupies during inference (``w``).
     options:
-        The :class:`~repro.core.options.SchedulerOptions` knobs (fast path
-        vs literal Algorithm 2, re-pack scope, consolidation policy, probe
-        index, canvas structure, admission watermark; documented on its
-        fields), exposed as :attr:`options`.  ``canvas_structure`` applies
+        The :class:`~repro.core.options.SchedulerOptions` knobs (re-pack
+        scope, consolidation policy, probe index, literal Algorithm 2 via
+        ``full_repack_equivalent``, canvas structure, admission watermark;
+        documented on its fields), exposed as :attr:`options`.  ``canvas_structure`` applies
         when the scheduler builds its own solver; a ``solver`` passed in
         brings its own.  With ``admission_watermark`` set, doomed arrivals
         past the watermark are recorded in :attr:`shed` rather than
@@ -281,15 +287,10 @@ class TangramScheduler(BaseScheduler):
         self.gpu_memory_gb = gpu_memory_gb
         self.model_memory_gb = model_memory_gb
         self.canvas_memory_gb = canvas_memory_gb
-        self.incremental = opts.incremental
-        self._packer: Optional[IncrementalStitcher] = (
-            IncrementalStitcher(
-                self.solver,
-                equivalent_canvas_pixels=self.estimator.canvas_pixels,
-                options=opts,
-            )
-            if opts.incremental
-            else None
+        self._packer = IncrementalStitcher(
+            self.solver,
+            equivalent_canvas_pixels=self.estimator.canvas_pixels,
+            options=opts,
         )
         self.admission_watermark = opts.admission_watermark
         #: Patches shed by the admission watermark (SLO-aware degradation).
@@ -306,9 +307,6 @@ class TangramScheduler(BaseScheduler):
         """Largest batch that fits in GPU memory alongside the model."""
         available = self.gpu_memory_gb - self.model_memory_gb
         return max(1, int(available / self.canvas_memory_gb))
-
-    def _memory_exceeded(self, canvases: Sequence[Canvas]) -> bool:
-        return len(canvases) > self.max_canvases
 
     # ------------------------------------------------------------ degradation
     def _should_shed(self, patch: Patch) -> bool:
@@ -346,45 +344,19 @@ class TangramScheduler(BaseScheduler):
             self.compute_seconds += time.perf_counter() - start
 
     def _handle_arrival(self, patch: Patch) -> None:
-        if self._should_shed(patch):
-            return
-        if self._packer is not None:
-            self._receive_patch_fast(patch)
-            return
-        now = self.simulator.now
-        old_canvases = self._canvases
-        self._queue.append(patch)
-        heapq.heappush(self._deadline_heap, patch.deadline)
-        candidate = self.solver.pack(self._queue)
-        deadline = self._deadline_heap[0]
-        slack = self.estimator.estimate(candidate)
-        t_remain = deadline - slack
-
-        if t_remain < now or self._memory_exceeded(candidate):
-            # Serving the whole queue together would violate the earliest
-            # SLO (or exceed GPU memory): ship the old canvases now and
-            # start a fresh queue with just the new patch.
-            self.invoke_canvases(old_canvases)
-            self._queue = [patch]
-            self._deadline_heap = [patch.deadline]
-            candidate = self.solver.pack(self._queue)
-            deadline = patch.deadline
-            slack = self.estimator.estimate(candidate)
-            t_remain = deadline - slack
-
-        self._canvases = candidate
-        self._schedule_invocation(max(now, t_remain))
-
-    def _receive_patch_fast(self, patch: Patch) -> None:
-        """The incremental fast path: plan the placement without mutating
-        the live packing, decide, then commit (or ship-and-reset).
+        """Plan the placement without mutating the live packing, decide,
+        then commit (or ship-and-reset).
 
         The probe/commit split matters: when the new patch would push
-        ``t_remain`` into the past, Algorithm 2 ships the *old* canvases
-        without the patch — so the patch must not have been placed yet.
+        ``t_remain`` into the past (or the canvases past GPU memory),
+        Algorithm 2 ships the *old* canvases without the patch and starts
+        a fresh queue with it — so the patch must not have been placed
+        yet.  ``T_slack`` is charged for the plan's standard-canvas
+        equivalent count (oversized canvases count as several).
         """
+        if self._should_shed(patch):
+            return
         packer = self._packer
-        assert packer is not None
         now = self.simulator.now
         plan = packer.probe(patch)
         deadline = patch.deadline
@@ -445,8 +417,7 @@ class TangramScheduler(BaseScheduler):
         self._queue = []
         self._deadline_heap = []
         self._canvases = []
-        if self._packer is not None:
-            self._packer.reset()
+        self._packer.reset()
 
     # --------------------------------------------------------------- insight
     @property
@@ -459,30 +430,15 @@ class TangramScheduler(BaseScheduler):
 
     @property
     def packing_stats(self) -> dict:
-        """Fast-path counters (probes, incremental placements, re-packs);
-        empty when running with ``incremental=False``."""
-        if self._packer is None:
-            return {}
+        """Stitcher counters (probes, incremental placements, re-packs)."""
         return dict(self._packer.stats)
 
     @property
     def index_stats(self) -> dict:
-        """Size-class index counters; empty without the fast path/index."""
-        if self._packer is None:
-            return {}
+        """Size-class index counters; empty without the index."""
         return self._packer.index_stats
 
     @property
-    def canvas_index_stats(self) -> dict:
-        """Canvas-admission-index counters; empty without the fast
-        path or the ``canvas_index`` knob."""
-        if self._packer is None:
-            return {}
-        return self._packer.canvas_index_stats
-
-    @property
     def consolidation_stats(self) -> dict:
-        """Consolidation-engine counters; empty without the fast path."""
-        if self._packer is None:
-            return {}
+        """Consolidation-engine counters."""
         return self._packer.consolidation_stats

@@ -204,19 +204,6 @@ class Skyline:
             out.append((x, y, end - x))
         return out
 
-    def envelope(self) -> Tuple[float, float]:
-        """The free-space envelope ``(max_w, max_h)``: maximum candidate
-        width and maximum candidate height, possibly from different
-        candidates.  Falls out of the fitness profile in O(1) —
-        ``fit_maxw[0]`` is the suffix maximum over *all* candidate
-        widths and ``fit_heights[-1]`` the largest candidate height.
-        The coarse summary behind :func:`repro.core.canvas_index.
-        canvas_envelope` (the admission index itself keeps the sharper
-        per-class fit profile)."""
-        if not self.fit_heights:
-            return (0.0, 0.0)
-        return (self.fit_maxw[0], self.fit_heights[-1])
-
     def fits(self, patch_width: float, patch_height: float) -> bool:
         """Exact: does any candidate admit a ``patch_width x patch_height``
         patch?  One bisect over the height-sorted profile."""

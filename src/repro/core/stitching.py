@@ -41,6 +41,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 # module when the consolidation subsystem was extracted, but
 # ``repro.core.stitching.Canvas`` remains the documented import path.
 from repro.core.canvas import CANVAS_STRUCTURES, Canvas, Placement  # noqa: F401
+from repro.core.freerect_index import FreeRectIndex
 from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
 from repro.core.skyline import Skyline
@@ -285,8 +286,8 @@ def equivalent_canvases(canvases: Iterable[Canvas], canvas_pixels: float) -> int
     """Number of standard-size canvases a packing is charged as.
 
     Oversized canvases count as the equivalent number of standard canvases,
-    rounded up — the same conservative accounting
-    :meth:`repro.core.latency.LatencyEstimator.estimate` applies.
+    rounded up — the batch size the scheduler asks
+    :meth:`repro.core.latency.LatencyEstimator.slack_time` about.
     """
     if canvas_pixels <= 0:
         raise ValueError("canvas_pixels must be positive")
@@ -380,9 +381,8 @@ class IncrementalStitcher:
         The :class:`~repro.core.options.SchedulerOptions` knobs (drift
         margin, re-pack scope, consolidation policy, probe index, budgets,
         full-repack-equivalent mode; documented on its fields), exposed as
-        :attr:`options`.  ``incremental``, ``canvas_structure`` and
-        ``admission_watermark`` belong to the scheduler and are ignored
-        here.
+        :attr:`options`.  ``canvas_structure`` and ``admission_watermark``
+        belong to the scheduler and are ignored here.
     """
 
     def __init__(
@@ -406,18 +406,12 @@ class IncrementalStitcher:
         #: :attr:`effective_patch_budget` when ``adaptive_budget`` is on.
         self._overflow_streak = 0
         # Full-repack-equivalent mode never probes the pools, so the index
-        # would only be maintenance overhead there.  The canvas admission
-        # index supersedes the per-rectangle index when both are requested.
-        self._canvas_index: Optional["CanvasAdmissionIndex"] = None
-        self._index: Optional["FreeRectIndex"] = None
-        if opts.canvas_index and not opts.full_repack_equivalent:
-            from repro.core.canvas_index import CanvasAdmissionIndex
-
-            self._canvas_index = CanvasAdmissionIndex()
-        elif opts.use_index and not opts.full_repack_equivalent:
-            from repro.core.freerect_index import FreeRectIndex
-
-            self._index = FreeRectIndex()
+        # would only be maintenance overhead there.
+        self._index: Optional[FreeRectIndex] = (
+            FreeRectIndex()
+            if opts.use_index and not opts.full_repack_equivalent
+            else None
+        )
         self.equivalent_canvas_pixels = (
             self.solver.canvas_area
             if equivalent_canvas_pixels is None
@@ -496,13 +490,6 @@ class IncrementalStitcher:
         return dict(self._index.stats)
 
     @property
-    def canvas_index_stats(self) -> dict:
-        """Counters of the canvas admission index; empty without it."""
-        if self._canvas_index is None:
-            return {}
-        return dict(self._canvas_index.stats)
-
-    @property
     def consolidation_engine(self) -> "ConsolidationEngine":
         """The consolidation engine, exposed read-only for introspection
         (tests pin heap contents through
@@ -566,12 +553,9 @@ class IncrementalStitcher:
                 equivalent_after=self._equivalent + max(1, extra),
             )
         # Global best-short-side-fit across every live free-rectangle pool,
-        # answered by the canvas admission index or the size-class index
-        # when enabled (same decision all three ways; the indexes only
-        # skip provably non-winning canvases/buckets).
-        if self._canvas_index is not None:
-            fit = self._canvas_index.best_fit(patch.width, patch.height)
-        elif self._index is not None:
+        # answered by the size-class index when enabled (same decision
+        # either way; the index only skips provably non-winning buckets).
+        if self._index is not None:
             fit = self._index.best_fit(patch.width, patch.height)
         else:
             fit = self.linear_best_fit(patch)
@@ -813,18 +797,14 @@ class IncrementalStitcher:
         self._rebuild_indexes()
 
     def _reindex_slot(self, slot: int, canvas: Canvas) -> None:
-        """Refresh whichever probe index is enabled for one mutated (or
-        newly appended) canvas slot."""
-        if self._canvas_index is not None:
-            self._canvas_index.reindex_canvas(slot, canvas)
-        elif self._index is not None:
+        """Refresh the probe index for one mutated (or newly appended)
+        canvas slot."""
+        if self._index is not None:
             self._index.reindex_canvas(slot, canvas)
 
     def _rebuild_indexes(self) -> None:
-        """Re-attach the live canvas list to whichever probe index is
-        enabled (the list object itself was replaced, or slots were
-        deleted and every index shifted)."""
-        if self._canvas_index is not None:
-            self._canvas_index.rebuild(self._canvases)
-        elif self._index is not None:
+        """Re-attach the live canvas list to the probe index (the list
+        object itself was replaced, or slots were deleted and every index
+        shifted)."""
+        if self._index is not None:
             self._index.rebuild(self._canvases)

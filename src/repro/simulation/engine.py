@@ -66,10 +66,11 @@ class Simulator:
         name: str = "",
     ) -> Event:
         """Schedule ``callback(simulator)`` at absolute time ``time``."""
-        if time < self._now:
+        # Written as ``not >=`` so NaN, which compares false, is rejected too.
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule event {name!r} at {time:.6f}, "
-                f"which is in the past (now={self._now:.6f})"
+                f"which is NaN or in the past (now={self._now:.6f})"
             )
         return self._queue.push(time, callback, priority=priority, name=name)
 
@@ -82,7 +83,7 @@ class Simulator:
         name: str = "",
     ) -> Event:
         """Schedule ``callback(simulator)`` after ``delay`` seconds."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
         return self.schedule_at(
             self._now + delay, callback, priority=priority, name=name

@@ -1,24 +1,21 @@
-"""Equivalence and invariant tests for the canvas admission index.
+"""Canvas-level pins for the probe index.
 
-Three contracts are pinned here:
+The stitcher's probe index (:class:`~repro.core.freerect_index.FreeRectIndex`)
+answers the global best-short-side-fit over every live canvas.  The
+tests here pin it from the canvas side, complementing the bucket-level
+tests in ``test_freerect_index.py``:
 
-* **Byte-identical placement decisions** — probes answered by
-  :class:`~repro.core.canvas_index.CanvasAdmissionIndex` equal the
-  linear canvas sweep's (same canvas, rectangle, and score; same plans;
-  same final placements) at depths 64-4096, across both canvas
-  structures and all three consolidation policies, with the adaptive
-  budget both off and on.
-* **Capability-summary invariants** (hypothesis-driven) — a canvas's
-  fit profile and envelope are always *upper bounds on true fit* (any
-  patch the canvas actually fits is admitted by the summary), profiles
-  are monotone in the height class, and a stale stamp can never serve a
-  decision: every slot's summary row equals a freshly derived profile
-  of the canvas living there now (``check_invariants``), and a
-  mutation that bypasses ``reindex_canvas`` is *detected*.
-* **Maintenance mechanics** — appended canvases register, oversized
-  canvases are never admitted, the canvas index supersedes the
-  rectangle index, and the knob reaches the stitcher from every config
-  layer.
+* **Byte-identical placement decisions** at depth 1024 — probes
+  answered by the index equal the linear canvas sweep's (same canvas,
+  rectangle, and score; same plans; same final placements) on both
+  canvas structures and all three consolidation policies.
+* **Per-canvas summaries** — the index's live entries for a canvas are
+  exactly that canvas's free rectangles, so any patch the canvas truly
+  fits is admitted, and a committed mutation is visible to the very
+  next probe.
+* **Maintenance and plumbing** — appended canvases register, oversized
+  canvases are never admitted, and the knob reaches the stitcher from
+  every config layer.
 """
 
 from __future__ import annotations
@@ -29,14 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.canvas import Canvas
-from repro.core.canvas_index import (
-    NUM_CLASSES,
-    CanvasAdmissionIndex,
-    canvas_envelope,
-    fit_profile,
-    height_class,
-    height_class_lower_bound,
-)
+from repro.core.freerect_index import FreeRectIndex, class_lower_bound, size_class
 from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
 from repro.core.stitching import IncrementalStitcher, PatchStitchingSolver
@@ -76,46 +66,71 @@ def _rng_patches(count: int, seed: int, lo: float = 64.0, hi: float = 640.0):
     )
 
 
-def _crowded_patches(count: int, seed: int):
-    from benchmarks.perf.harness import _make_crowded_patches
-
-    return _make_crowded_patches(count, seed)
-
-
 def _placement_key(canvases):
     return [(p.patch.patch_id, p.x, p.y) for c in canvases for p in c.placements]
 
 
-def _stitcher(structure: str, policy: str, *, canvas_index: bool, **kw):
-    kw.setdefault("repack_scope", "canvas")
-    return IncrementalStitcher(
-        PatchStitchingSolver(canvas_structure=structure),
-        options=SchedulerOptions(
-            consolidation=policy, canvas_index=canvas_index, use_index=False, **kw
-        ),
+def _indexed_sizes(index: FreeRectIndex, slot: int) -> list[tuple[float, float]]:
+    """The live ``(width, height)`` entries the index holds for ``slot``,
+    in ``rect_index`` order."""
+    version = index._versions[slot]
+    entries = [
+        entry
+        for bucket in index._buckets.values()
+        for entry in bucket
+        if entry[0] == slot and entry[4] == version
+    ]
+    return [(entry[2], entry[3]) for entry in sorted(entries, key=lambda e: e[1])]
+
+
+def _assert_index_matches_pools(stitcher: IncrementalStitcher) -> None:
+    """Every live slot's index entries equal its canvas's current pool."""
+    index = stitcher._index
+    for slot, canvas in enumerate(stitcher.canvases):
+        expected = (
+            []
+            if canvas.oversized
+            else [(rect.width, rect.height) for rect in canvas.free_rectangles]
+        )
+        assert _indexed_sizes(index, slot) == expected
+    assert index.live_entries == sum(
+        len(c.free_rectangles) for c in stitcher.canvases if not c.oversized
     )
 
 
-# -------------------------------------------------- capability summaries
+def _stitcher(structure: str, policy: str, *, use_index: bool, **kw):
+    kw.setdefault("repack_scope", "canvas")
+    return IncrementalStitcher(
+        PatchStitchingSolver(canvas_structure=structure),
+        options=SchedulerOptions(consolidation=policy, use_index=use_index, **kw),
+    )
+
+
+def _single_canvas_index(canvas: Canvas) -> FreeRectIndex:
+    index = FreeRectIndex()
+    index.rebuild([canvas])
+    return index
+
+
+# -------------------------------------------------- per-canvas summaries
 class TestCapabilitySummaries:
     def test_fresh_canvas_profile_is_the_canvas_itself(self):
         canvas = Canvas(width=1024.0, height=768.0, structure="guillotine")
-        profile = fit_profile(canvas)
-        for hc in range(NUM_CLASSES):
-            expected = 1024.0 if height_class_lower_bound(hc) <= 768.0 else 0.0
-            assert profile[hc] == expected
-        assert canvas_envelope(canvas) == (1024.0, 768.0)
+        index = _single_canvas_index(canvas)
+        assert _indexed_sizes(index, 0) == [(1024.0, 768.0)]
+        assert index.best_fit(1024.0, 768.0) == (0, 0, 0.0)
+        assert index.best_fit(1024.5, 10.0) is None
+        assert index.best_fit(10.0, 768.5) is None
 
     def test_height_classes_partition_heights(self):
-        """Every height lies within its class's bounds (the contract the
-        profile's conservativeness rests on)."""
+        """Every dimension lies within its class's bounds (the contract
+        the bucket pruning's lower-bound score rests on)."""
         rng = np.random.default_rng(5)
         for value in rng.uniform(0.0, 50000.0, size=2000):
-            klass = height_class(float(value))
-            assert height_class_lower_bound(klass) <= value
-            if klass + 1 < NUM_CLASSES:
-                assert value < height_class_lower_bound(klass + 1)
-        bounds = [height_class_lower_bound(k) for k in range(NUM_CLASSES)]
+            klass = size_class(float(value))
+            assert class_lower_bound(klass) <= value
+            assert value < class_lower_bound(klass + 1)
+        bounds = [class_lower_bound(k) for k in range(20)]
         assert bounds == sorted(bounds)
 
     @pytest.mark.parametrize("structure", ["skyline", "guillotine"])
@@ -125,52 +140,46 @@ class TestCapabilitySummaries:
         probes=st.lists(fitting_sizes, min_size=1, max_size=10),
     )
     def test_summaries_upper_bound_true_fit(self, structure, placed, probes):
-        """Any patch the canvas truly fits must be admitted by both the
-        profile and the envelope (the conservativeness the probe's bulk
-        skip and the stall predictor lean on)."""
+        """Any patch the canvas truly fits is admitted by the index, with
+        the canvas's own best-fit rectangle and score."""
         canvas = Canvas(1024.0, 1024.0, structure=structure)
         for patch in _patches(placed):
             canvas.try_place(patch)
-        profile = fit_profile(canvas)
-        env_w, env_h = canvas_envelope(canvas)
+        index = _single_canvas_index(canvas)
         for probe in _patches(probes):
-            if canvas.best_fit_size(probe.width, probe.height) is None:
-                continue
-            assert profile[height_class(probe.height)] >= probe.width
-            assert env_w >= probe.width and env_h >= probe.height
+            fit = canvas.best_fit(probe)
+            answer = index.best_fit(probe.width, probe.height)
+            if fit is None:
+                assert answer is None
+            else:
+                assert answer == (0, fit[0], fit[1])
 
     @pytest.mark.parametrize("structure", ["skyline", "guillotine"])
     @settings(max_examples=40, deadline=None)
     @given(placed=st.lists(fitting_sizes, min_size=1, max_size=25))
     def test_profile_matches_direct_definition(self, structure, placed):
-        """The fit-structure walk (skyline) and the pool fold
-        (guillotine) both compute exactly ``max width among free rects
-        at least 2^hc tall``."""
+        """The index's entries for a canvas are exactly its free
+        rectangles, each filed under its own size class."""
         canvas = Canvas(1024.0, 1024.0, structure=structure)
         for patch in _patches(placed):
             canvas.try_place(patch)
-        profile = fit_profile(canvas)
-        for hc in range(NUM_CLASSES):
-            expected = max(
-                (
-                    rect.width
-                    for rect in canvas.free_rectangles
-                    if rect.height >= height_class_lower_bound(hc)
-                ),
-                default=0.0,
-            )
-            assert profile[hc] == pytest.approx(expected)
-            if hc > 0:
-                assert profile[hc] <= profile[hc - 1]
+        index = _single_canvas_index(canvas)
+        assert _indexed_sizes(index, 0) == [
+            (rect.width, rect.height) for rect in canvas.free_rectangles
+        ]
+        for (width_class, height_class), bucket in index._buckets.items():
+            for entry in bucket:
+                assert size_class(entry[2]) == width_class
+                assert size_class(entry[3]) == height_class
 
 
 # --------------------------------------------- byte-identical placement
 def _pin_stream(patches, structure: str, policy: str, **kw):
-    """Run the same stream through a canvas-indexed and a linear-sweep
+    """Run the same stream through an indexed and a linear-sweep
     stitcher, asserting identical plans at every arrival and identical
     final placements."""
-    indexed = _stitcher(structure, policy, canvas_index=True, **kw)
-    linear = _stitcher(structure, policy, canvas_index=False, **kw)
+    indexed = _stitcher(structure, policy, use_index=True, **kw)
+    linear = _stitcher(structure, policy, use_index=False, **kw)
     for patch in patches:
         plan_i = indexed.probe(patch)
         plan_l = linear.probe(patch)
@@ -184,7 +193,7 @@ def _pin_stream(patches, structure: str, policy: str, **kw):
         linear.commit(plan_l)
     assert _placement_key(indexed.canvases) == _placement_key(linear.canvases)
     assert indexed.stats == linear.stats
-    indexed._canvas_index.check_invariants(indexed.canvases)
+    _assert_index_matches_pools(indexed)
     return indexed
 
 
@@ -192,24 +201,18 @@ class TestByteIdenticalToLinearSweep:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(patch_sizes, min_size=1, max_size=50))
     def test_every_probe_matches_linear_scan(self, size_list):
-        """The strongest form: on one evolving packing, every probe's
-        index answer equals the linear sweep's (same canvas, rect, and
-        score)."""
+        """On one evolving canvas-scope packing (partial re-packs swap
+        canvases out under the index), every probe's index answer equals
+        the linear sweep's (same canvas, rect, and score)."""
         stitcher = IncrementalStitcher(
             PatchStitchingSolver(),
-            options=SchedulerOptions(canvas_index=True),
+            options=SchedulerOptions(repack_scope="canvas", partial_patch_budget=8),
         )
         for patch in _patches(size_list):
-            indexed = stitcher._canvas_index.best_fit(patch.width, patch.height)
+            indexed = stitcher._index.best_fit(patch.width, patch.height)
             linear = stitcher.linear_best_fit(patch)
             assert indexed == linear
             stitcher.add(patch)
-
-    @pytest.mark.parametrize("structure", ["skyline", "guillotine"])
-    @pytest.mark.parametrize("policy", ["repack", "memo", "merge"])
-    @pytest.mark.parametrize("depth", [64, 256])
-    def test_streams_pin_across_structures_and_policies(self, structure, policy, depth):
-        _pin_stream(_rng_patches(depth, seed=depth + 3), structure, policy)
 
     @pytest.mark.parametrize("policy", ["repack", "memo", "merge"])
     def test_deep_skyline_streams(self, policy):
@@ -218,149 +221,95 @@ class TestByteIdenticalToLinearSweep:
     def test_deep_guillotine_stream(self):
         _pin_stream(_rng_patches(1024, seed=13), "guillotine", "memo")
 
-    def test_fleet_depth_4096(self):
-        """The acceptance-criterion depth, on the benchmark's fleet mix
-        and the default policy (the configuration the gated A/B pair
-        times)."""
-        stitcher = _pin_stream(_rng_patches(4096, seed=19), "skyline", "memo")
-        stats = stitcher.canvas_index_stats
-        # The index must actually be skipping canvases wholesale, not
-        # just matching the sweep by probing everything.
-        assert stats["canvases_skipped"] > 10 * stats["canvases_probed"]
-
-    def test_crowded_mix_with_adaptive_budget(self):
-        """The index pin is orthogonal to the adaptive budget: with the
-        ramp active on both arms, decisions still match the sweep."""
-        _pin_stream(
-            _crowded_patches(512, seed=43),
-            "skyline",
-            "memo",
-            adaptive_budget=True,
-            retry_backoff=False,
-            max_partial_victims=24,
-            partial_patch_budget=64,
-        )
-
     @settings(max_examples=25, deadline=None)
     @given(st.lists(patch_sizes, min_size=1, max_size=40))
     def test_invariants_hold_after_every_arrival(self, size_list):
         stitcher = IncrementalStitcher(
             PatchStitchingSolver(),
-            options=SchedulerOptions(
-                repack_scope="canvas",
-                canvas_index=True,
-                partial_patch_budget=8,
-            ),
+            options=SchedulerOptions(repack_scope="canvas", partial_patch_budget=8),
         )
         for patch in _patches(size_list):
             stitcher.add(patch)
-            stitcher._canvas_index.check_invariants(stitcher.canvases)
+            _assert_index_matches_pools(stitcher)
 
 
-# ----------------------------------------------------- stale-stamp safety
+# ----------------------------------------------------- stale-entry safety
 class TestStaleStampsNeverServe:
     def test_reindex_bumps_version_and_replaces_the_row(self):
-        stitcher = IncrementalStitcher(
-            PatchStitchingSolver(),
-            options=SchedulerOptions(canvas_index=True),
-        )
-        patch = _patches([(400.0, 300.0)])[0]
-        stitcher.add(patch)
-        index = stitcher._canvas_index
-        version = index.version(0)
-        before = index.profile(0)
-        stitcher.add(_patches([(500.0, 500.0)])[0])
-        assert index.version(0) == version + 1
-        assert index.profile(0) != before
-        index.check_invariants(stitcher.canvases)
-
-    def test_unreported_mutation_is_detected(self):
-        """A canvas mutated behind the index's back makes the summary
-        stale; ``check_invariants`` must catch it (and ``reindex_canvas``
-        must clear it)."""
-        stitcher = IncrementalStitcher(
-            PatchStitchingSolver(),
-            options=SchedulerOptions(canvas_index=True),
-        )
+        stitcher = IncrementalStitcher(PatchStitchingSolver())
         stitcher.add(_patches([(400.0, 300.0)])[0])
-        canvas = stitcher.canvases[0]
-        rogue = _patches([(300.0, 200.0)])[0]
-        rect = canvas.find_free_rectangle(rogue)
-        assert rect is not None
-        canvas.place(rogue, rect)
-        with pytest.raises(AssertionError, match="stale summary"):
-            stitcher._canvas_index.check_invariants(stitcher.canvases)
-        stitcher._canvas_index.reindex_canvas(0, canvas)
-        stitcher._canvas_index.check_invariants(stitcher.canvases)
+        index = stitcher._index
+        version = index._versions[0]
+        before = _indexed_sizes(index, 0)
+        stitcher.add(_patches([(500.0, 500.0)])[0])
+        assert index._versions[0] == version + 1
+        assert _indexed_sizes(index, 0) != before
+        _assert_index_matches_pools(stitcher)
 
     def test_decisions_follow_the_mutation_immediately(self):
         """After a commit mutates a canvas, the very next probe answers
-        from the fresh summary (no lazily lingering stale state)."""
-        stitcher = IncrementalStitcher(
-            PatchStitchingSolver(),
-            options=SchedulerOptions(canvas_index=True),
-        )
+        from the fresh pool (no lazily lingering stale state)."""
+        stitcher = IncrementalStitcher(PatchStitchingSolver())
         for patch in _patches([(1000.0, 1000.0), (900.0, 900.0)]):
             stitcher.add(patch)
         probe = _patches([(800.0, 800.0)])[0]
-        fit = stitcher._canvas_index.best_fit(probe.width, probe.height)
+        fit = stitcher._index.best_fit(probe.width, probe.height)
         assert fit == stitcher.linear_best_fit(probe)
+        stitcher.add(probe)
+        follow = _patches([(800.0, 800.0)])[0]
+        assert stitcher._index.best_fit(
+            follow.width, follow.height
+        ) == stitcher.linear_best_fit(follow)
 
 
 # ------------------------------------------------------------ maintenance
 class TestMaintenance:
     def test_oversized_canvases_are_never_admitted(self):
+        """An oversized canvas keeps its slot but never enters the index,
+        so later probes only ever land on the canvases opened after it."""
         stitcher = IncrementalStitcher(
             PatchStitchingSolver(canvas_width=1024, canvas_height=1024),
-            options=SchedulerOptions(canvas_index=True),
         )
         stitcher.add(_patches([(2048.0, 1100.0)])[0])
-        index = stitcher._canvas_index
-        assert index.num_slots == 1
-        assert index.profile(0) == [0.0] * NUM_CLASSES
+        index = stitcher._index
+        assert stitcher.canvases[0].oversized
+        assert _indexed_sizes(index, 0) == []
         assert index.best_fit(10.0, 10.0) is None
-        index.check_invariants(stitcher.canvases)
+        for patch in _patches([(300.0, 200.0), (500.0, 400.0), (50.0, 60.0)]):
+            fit = index.best_fit(patch.width, patch.height)
+            assert fit == stitcher.linear_best_fit(patch)
+            assert fit is None or fit[0] != 0
+            stitcher.add(patch)
+        _assert_index_matches_pools(stitcher)
 
     def test_appended_canvases_register_past_the_end(self):
-        index = CanvasAdmissionIndex()
+        index = FreeRectIndex()
         solver = PatchStitchingSolver()
         canvases = solver.pack(_patches([(400.0, 300.0)]))
         index.rebuild(canvases)
-        assert index.num_slots == 1
+        assert len(index._versions) == 1
         canvases.extend(solver.pack(_patches([(200.0, 600.0)])))
         index.reindex_canvas(1, canvases[1])
-        assert index.num_slots == 2
-        index.check_invariants(canvases)
-
-    def test_canvas_index_supersedes_use_index(self):
-        stitcher = IncrementalStitcher(
-            PatchStitchingSolver(),
-            options=SchedulerOptions(use_index=True, canvas_index=True),
-        )
-        assert stitcher._index is None
-        assert stitcher._canvas_index is not None
-        assert stitcher.index_stats == {}
-        assert set(stitcher.canvas_index_stats) >= {"queries", "canvases_skipped"}
+        assert len(index._versions) == 2
+        assert _indexed_sizes(index, 1) == [
+            (rect.width, rect.height) for rect in canvases[1].free_rectangles
+        ]
+        fresh = FreeRectIndex()
+        fresh.rebuild(canvases)
+        assert index.best_fit(150.0, 150.0) == fresh.best_fit(150.0, 150.0)
 
     def test_full_repack_equivalent_mode_skips_the_index(self):
-        stitcher = IncrementalStitcher(
-            PatchStitchingSolver(),
-            options=SchedulerOptions(canvas_index=True, full_repack_equivalent=True),
-        )
-        assert stitcher._canvas_index is None
-
-    def test_exclude_hides_canvases_from_the_query(self):
-        stitcher = IncrementalStitcher(
-            PatchStitchingSolver(),
-            options=SchedulerOptions(canvas_index=True),
-        )
-        for patch in _patches([(900.0, 900.0), (900.0, 900.0)]):
-            stitcher.add(patch)
-        index = stitcher._canvas_index
-        fit = index.best_fit(100.0, 100.0)
-        assert fit is not None
-        other = index.best_fit(100.0, 100.0, exclude=frozenset((fit[0],)))
-        assert other is not None and other[0] != fit[0]
+        """The literal route never probes the pools, so even an explicit
+        ``use_index=True`` builds no index there, on either structure."""
+        for structure in ("skyline", "guillotine"):
+            stitcher = IncrementalStitcher(
+                PatchStitchingSolver(canvas_structure=structure),
+                options=SchedulerOptions(use_index=True, full_repack_equivalent=True),
+            )
+            for patch in _rng_patches(16, seed=3):
+                stitcher.add(patch)
+            assert stitcher._index is None
+            assert stitcher.index_stats == {}
 
 
 # --------------------------------------------------------------- plumbing
@@ -373,7 +322,7 @@ class TestKnobPlumbing:
         config = TangramConfig(
             scheduler_options=SchedulerOptions(
                 repack_scope="canvas",
-                canvas_index=True,
+                use_index=False,
                 adaptive_budget=True,
             ),
         )
@@ -381,7 +330,6 @@ class TestKnobPlumbing:
         simulator = Simulator()
         platform = ServerlessPlatform(simulator)
         scheduler = tangram.build_online_scheduler(simulator, platform)
-        assert scheduler._packer._canvas_index is not None
         assert scheduler._packer._index is None
         assert scheduler._packer.adaptive_budget is True
 
@@ -392,7 +340,7 @@ class TestKnobPlumbing:
         config = EndToEndConfig(
             scheduler_options=SchedulerOptions(
                 repack_scope="canvas",
-                canvas_index=True,
+                use_index=False,
                 adaptive_budget=True,
             ),
         )
@@ -405,7 +353,7 @@ class TestKnobPlumbing:
         )
         runner = EndToEndRunner(config, {"camera-0": [frame]})
         packer = runner.scheduler._packer
-        assert packer._canvas_index is not None
+        assert packer._index is None
         assert packer.adaptive_budget is True
 
     def test_scheduler_exposes_canvas_index_stats(self):
@@ -418,15 +366,17 @@ class TestKnobPlumbing:
         scheduler = TangramScheduler(
             simulator,
             platform,
-            options=SchedulerOptions(repack_scope="canvas", canvas_index=True),
+            options=SchedulerOptions(repack_scope="canvas"),
         )
-        assert set(scheduler.canvas_index_stats) >= {"queries", "reindexes"}
+        assert set(scheduler.index_stats) >= {"queries", "compactions"}
 
 
 # ------------------------------------------------- scheduler-level metrics
 def test_scheduler_metrics_identical_with_and_without_canvas_index():
-    """End-to-end pin: a mixed arrival trace through the scheduler yields
-    byte-identical batch records with the canvas index on and off."""
+    """End-to-end pin on the ``merge`` policy (whose sibling probe uses
+    the index's ``exclude=`` query): a mixed arrival trace through the
+    scheduler yields byte-identical batch records with the index on and
+    off."""
     from repro.core.latency import LatencyEstimator
     from repro.core.scheduler import TangramScheduler
     from repro.serverless.platform import ServerlessPlatform
@@ -438,7 +388,7 @@ def test_scheduler_metrics_identical_with_and_without_canvas_index():
     trace = _patches(list(zip(rng.uniform(80, 640, 90), rng.uniform(80, 640, 90))))
     gen_times = np.sort(rng.uniform(0.0, 2.5, size=len(trace)))
 
-    def run(canvas_index: bool):
+    def run(use_index: bool):
         simulator = Simulator()
         platform = ServerlessPlatform(simulator, cold_start_time=0.0)
         latency_model = DetectorLatencyModel.serverless()
@@ -453,9 +403,9 @@ def test_scheduler_metrics_identical_with_and_without_canvas_index():
             latency_model=latency_model,
             streams=RandomStreams(6),
             options=SchedulerOptions(
-                use_index=False,
-                canvas_index=canvas_index,
+                use_index=use_index,
                 repack_scope="canvas",
+                consolidation="merge",
             ),
         )
         for patch, arrival in zip(trace, gen_times):

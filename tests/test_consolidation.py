@@ -434,105 +434,15 @@ class TestEngineMechanics:
         assert not policy._failed
         assert stitcher._consolidation._failures == 0
 
-
-# ------------------------------------------------------- stall predictor
-class TestStallPredictor:
-    """The drainable-area stall predictor must be *conservative*: it may
-    only reject drains the full clone-planned probe would have stalled
-    on, so merge decisions are byte-identical with the predictor on and
-    off — it can only make doomed attempts cheaper."""
-
-    def _trace(self, patches, predictor: bool, **kw):
-        kw.setdefault("canvas_index", True)
-        stitcher = _stitcher("merge", **kw)
-        stitcher.consolidation_engine.policy.use_stall_predictor = predictor
-        trace = []
-        for patch in patches:
-            plan = stitcher.probe(patch)
-            trace.append(
-                (
-                    plan.kind,
-                    plan.canvas_index,
-                    plan.rect_index,
-                    tuple(plan.victim_indices or ()),
-                )
-            )
-            stitcher.commit(plan)
-        return stitcher, trace
-
-    def test_decision_neutral_on_crowded_fleet(self):
-        """The firing regime: most crowded-mix drains are provably
-        doomed (wide-flats fit no sibling), and skipping their probes
-        must not change a single decision."""
-        patches = _crowded_mix(512, seed=43)
-        kw = dict(retry_backoff=False, max_partial_victims=24, partial_patch_budget=64)
-        on, trace_on = self._trace(patches, True, **kw)
-        off, trace_off = self._trace(patches, False, **kw)
-        assert trace_on == trace_off
-        assert _placement_key(on.canvases) == _placement_key(off.canvases)
-        assert on.consolidation_stats["stall_predicted"] > 0
-
-    def test_decision_neutral_on_uniform_fleet(self):
-        """The committing regime: merges succeed here, so a predictor
-        that over-fired would visibly change plans."""
-        patches = _uniform_mix(1024, seed=19)
-        on, trace_on = self._trace(patches, True)
-        off, trace_off = self._trace(patches, False)
-        assert trace_on == trace_off
-        assert on.stats["merges"] > 0
-        assert on.stats["merges"] == off.stats["merges"]
-
-    def test_predicted_stalls_match_the_full_probe(self):
-        """Every individual firing is checked against ground truth: the
-        full clone-planned drain of the same state must stall."""
-        reference = MergePolicy()
-        reference.use_stall_predictor = False
-        stitcher = _stitcher(
-            "merge",
-            canvas_index=True,
-            retry_backoff=False,
-            max_partial_victims=24,
-            partial_patch_budget=64,
-        )
-        engine = stitcher.consolidation_engine
-        checked = 0
-        for patch in _crowded_mix(512, seed=43):
-            before = engine.stats["stall_predicted"]
-            plan = stitcher.probe(patch)
-            if engine.stats["stall_predicted"] > before:
-                assert reference._plan_merge(engine, patch) is None
-                checked += 1
-            stitcher.commit(plan)
-        assert checked > 0, "workload never fired the predictor"
-
-    def test_predictor_stands_down_without_maintained_summaries(self):
-        """Without the canvas admission index there is nothing cheap to
-        consult — re-deriving every sibling's profile per attempt costs
-        more than the stalling drain — so the predictor must not fire
-        (and decisions are trivially unchanged)."""
-        patches = _crowded_mix(256, seed=43)
-        stitcher, _ = self._trace(
-            patches,
-            True,
-            canvas_index=False,
-            retry_backoff=False,
-            max_partial_victims=24,
-            partial_patch_budget=64,
-        )
-        assert stitcher.consolidation_stats["merge_stalls"] > 0
-        assert stitcher.consolidation_stats["stall_predicted"] == 0
-
     def test_max_free_extent_precheck_is_unsound(self):
         """PR 4's lesson, pinned as a constructed counterexample: an
         incoming patch *taller than every victim's max free extent*
         whose trial re-pack still consolidates — rearranging the
         victims' patches opens a row no current free rectangle shows.
         Any pre-check that rejects on the victims' current extents
-        would wrongly reject this plan (which is why the drainable-area
-        predictor bounds what *migrates into existing rectangles*
-        instead — re-packs conjure new room, drains do not)."""
-        from repro.core.canvas_index import canvas_envelope
-
+        would wrongly reject this plan.  The max free extent is the
+        envelope ``(max width, max height)`` over the canvas's free
+        rectangles, possibly from different rectangles."""
         solver = PatchStitchingSolver(canvas_width=100.0, canvas_height=100.0)
         stitcher = IncrementalStitcher(
             solver,
@@ -562,7 +472,9 @@ class TestStallPredictor:
         assert plan.kind == "partial", "the trial re-pack must consolidate"
         assert plan.victim_indices == [0, 1]
         for index in plan.victim_indices:
-            env_w, env_h = canvas_envelope(stitcher.canvases[index])
+            free = stitcher.canvases[index].free_rectangles
+            env_w = max((rect.width for rect in free), default=0.0)
+            env_h = max((rect.height for rect in free), default=0.0)
             assert incoming.width > env_w or incoming.height > env_h, (
                 "counterexample requires the patch to exceed the victim's "
                 "max free extent"

@@ -144,7 +144,85 @@ def test_randomized_deep_stream_equivalence():
     assert stats["entries_scanned"] < stats["queries"] * max(1, total_rects)
 
 
+def _pin_stream(patches, structure: str, policy: str, **knobs):
+    """Run one stream through an indexed and a linear-sweep stitcher,
+    asserting identical plans at every arrival and identical final
+    placements; returns the indexed stitcher."""
+    knobs.setdefault("repack_scope", "canvas")
+    stitchers = [
+        IncrementalStitcher(
+            PatchStitchingSolver(canvas_structure=structure),
+            options=SchedulerOptions(consolidation=policy, use_index=use_index, **knobs),
+        )
+        for use_index in (True, False)
+    ]
+    indexed, linear = stitchers
+    for patch in patches:
+        plan_i = indexed.probe(patch)
+        plan_l = linear.probe(patch)
+        assert (plan_i.kind, plan_i.canvas_index, plan_i.rect_index) == (
+            plan_l.kind,
+            plan_l.canvas_index,
+            plan_l.rect_index,
+        )
+        assert plan_i.victim_indices == plan_l.victim_indices
+        indexed.commit(plan_i)
+        linear.commit(plan_l)
+    assert _placement_key(indexed.canvases) == _placement_key(linear.canvases)
+    assert indexed.stats == linear.stats
+    return indexed
+
+
+@pytest.mark.parametrize("structure", ["skyline", "guillotine"])
+@pytest.mark.parametrize("policy", ["repack", "memo", "merge"])
+def test_streams_pin_across_structures_and_policies(structure, policy):
+    rng = np.random.default_rng(259)
+    sizes = list(zip(rng.uniform(64, 640, 256), rng.uniform(64, 640, 256)))
+    _pin_stream(_patches(sizes), structure, policy)
+
+
+def test_fleet_depth_4096():
+    """The fleet depth, on the benchmark's uniform fleet mix and the
+    default policy (the configuration ``scheduler_arrival_fleet_4096``
+    times)."""
+    rng = np.random.default_rng(19)
+    sizes = list(zip(rng.uniform(64, 640, 4096), rng.uniform(64, 640, 4096)))
+    stitcher = _pin_stream(_patches(sizes), "skyline", "memo")
+    stats = stitcher.index_stats
+    # The index must actually prune buckets, not match the sweep by
+    # scanning every live rectangle on every query.
+    total_rects = sum(len(c.free_rectangles) for c in stitcher.canvases)
+    assert stats["entries_scanned"] < stats["queries"] * total_rects // 10
+
+
+def test_crowded_mix_with_adaptive_budget():
+    """The index pin is orthogonal to the adaptive budget: with the ramp
+    active on both arms, decisions still match the sweep."""
+    from benchmarks.perf.harness import _make_crowded_patches
+
+    _pin_stream(
+        _make_crowded_patches(512, seed=43),
+        "skyline",
+        "memo",
+        adaptive_budget=True,
+        retry_backoff=False,
+        max_partial_victims=24,
+        partial_patch_budget=64,
+    )
+
+
 # ------------------------------------------------------------- maintenance
+def test_exclude_hides_canvases_from_the_query():
+    stitcher = IncrementalStitcher(PatchStitchingSolver())
+    for patch in _patches([(900.0, 900.0), (900.0, 900.0)]):
+        stitcher.add(patch)
+    index = stitcher._index
+    fit = index.best_fit(100.0, 100.0)
+    assert fit is not None
+    other = index.best_fit(100.0, 100.0, exclude=frozenset((fit[0],)))
+    assert other is not None and other[0] != fit[0]
+
+
 def test_index_tracks_live_pools_after_mutations():
     stitcher = IncrementalStitcher(
         PatchStitchingSolver(),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.latency import LatencyEstimator
-from repro.core.stitching import Canvas
+from repro.core.stitching import Canvas, equivalent_canvases
 from repro.simulation.random_streams import RandomStreams
 from repro.vision.detector import DetectorLatencyModel
 from tests.conftest import make_patch
@@ -65,10 +65,15 @@ def test_slack_grows_with_batch_size():
     assert estimator.slack_time(8) > estimator.slack_time(2) > estimator.slack_time(1)
 
 
-def test_estimate_counts_canvases(sample_patches):
+def _packing_slack(estimator: LatencyEstimator, canvases) -> float:
+    """T_slack of a packing, charged the way the scheduler charges it."""
+    return estimator.slack_time(equivalent_canvases(canvases, estimator.canvas_pixels))
+
+
+def test_estimate_counts_canvases():
     estimator = _estimator()
-    assert estimator.estimate([]) == 0.0
-    assert estimator.estimate(_canvases(3)) == pytest.approx(estimator.slack_time(3))
+    assert _packing_slack(estimator, []) == 0.0
+    assert _packing_slack(estimator, _canvases(3)) == pytest.approx(estimator.slack_time(3))
 
 
 def test_oversized_canvas_charged_as_multiple_canvases():
@@ -76,7 +81,7 @@ def test_oversized_canvas_charged_as_multiple_canvases():
     oversized = Canvas(width=2048, height=1536, canvas_id=0, oversized=True)
     oversized.try_place(make_patch(2000, 1500))
     # 2048*1536 / (1024*1024) = 3 equivalent canvases.
-    assert estimator.estimate([oversized]) == pytest.approx(estimator.slack_time(3))
+    assert _packing_slack(estimator, [oversized]) == pytest.approx(estimator.slack_time(3))
 
 
 def test_expected_execution_time_uses_mean_model():

@@ -60,6 +60,20 @@ def test_negative_generation_time_rejected():
         _patch(generation_time=-1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_slo_rejected(value):
+    # A NaN SLO used to pass the ``<= 0`` check and then complete with a
+    # NaN latency that ``PatchOutcome.violated`` counted as on time.
+    with pytest.raises(ValueError, match="slo"):
+        _patch(slo=value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_generation_time_rejected(value):
+    with pytest.raises(ValueError, match="generation_time"):
+        _patch(generation_time=value)
+
+
 def test_patch_is_hashable_and_frozen():
     patch = _patch()
     with pytest.raises(AttributeError):

@@ -2,16 +2,17 @@
 
 The knob grid the arrival path now exposes — 2 canvas structures
 (``skyline``/``guillotine``) x 3 consolidation policies
-(``repack``/``memo``/``merge``) x probe index on/off (the fleet-scale
-canvas admission index vs the linear canvas sweep) — is pinned here as
+(``repack``/``memo``/``merge``) x probe index on/off (the size-class
+free-rectangle index vs the linear sweep) — is pinned here as
 the **single source of truth** for the documented metric contracts,
 replacing the per-PR pairwise pins scattered across earlier suites (the
 byte-level pins those suites carry remain; this matrix is the one place
 the *metric* contracts live):
 
-* ``memo`` is byte-identical to ``repack`` and the canvas index is
+* ``memo`` is byte-identical to ``repack`` and the index is
   byte-identical to the linear sweep, so within one structure the four
-  repack/memo combos must produce *exactly* the same placements;
+  repack/memo combos must produce *exactly* the same placements, and
+  each indexed ``merge`` combo the same placements as its linear arm;
 * ``merge`` may drift, bounded by mean canvas efficiency within 1% of
   the structure's ``repack`` reference and canvas counts within 3%
   (the PR-4 contract, now asserted per structure and per index arm);
@@ -42,7 +43,7 @@ SEED = 43
 
 STRUCTURES = ("skyline", "guillotine")
 POLICIES = ("repack", "memo", "merge")
-INDEX_ARMS = (True, False)  # canvas admission index on / linear sweep
+INDEX_ARMS = (True, False)  # free-rectangle index on / linear sweep
 
 
 def _patches(count: int, seed: int) -> list[Patch]:
@@ -61,15 +62,14 @@ def _patches(count: int, seed: int) -> list[Patch]:
     ]
 
 
-def _run(structure: str, policy: str, canvas_index: bool):
+def _run(structure: str, policy: str, use_index: bool):
     patches = _stream()
     stitcher = IncrementalStitcher(
         PatchStitchingSolver(canvas_structure=structure),
         options=SchedulerOptions(
             repack_scope="canvas",
             consolidation=policy,
-            canvas_index=canvas_index,
-            use_index=False,
+            use_index=use_index,
         ),
     )
     for patch in patches:
@@ -103,25 +103,28 @@ def _stream():
     return _CACHE["patches"]
 
 
-def _result(structure: str, policy: str, canvas_index: bool):
-    key = (structure, policy, canvas_index)
+def _result(structure: str, policy: str, use_index: bool):
+    key = (structure, policy, use_index)
     if key not in _CACHE:
-        _CACHE[key] = _run(structure, policy, canvas_index)
+        _CACHE[key] = _run(structure, policy, use_index)
     return _CACHE[key]
 
 
 @pytest.mark.parametrize("structure", STRUCTURES)
 @pytest.mark.parametrize("policy", POLICIES)
-@pytest.mark.parametrize("canvas_index", INDEX_ARMS)
-def test_matrix_metric_contracts(structure, policy, canvas_index):
+@pytest.mark.parametrize("use_index", INDEX_ARMS)
+def test_matrix_metric_contracts(structure, policy, use_index):
     reference = _result(structure, "repack", False)
-    combo = _result(structure, policy, canvas_index)
+    combo = _result(structure, policy, use_index)
     assert combo["consolidations"] > 0, "combo never exercised consolidation"
     if policy in ("repack", "memo"):
-        # Byte-identical contracts compose: memo == repack and canvas
-        # index == linear sweep, so the whole quadrant is one packing.
+        # Byte-identical contracts compose: memo == repack and index ==
+        # linear sweep, so the whole quadrant is one packing.
         assert combo["key"] == reference["key"]
         return
+    if use_index:
+        # The index is exact under merge's sibling probes too.
+        assert combo["key"] == _result(structure, policy, False)["key"]
     # "merge" may drift, within the documented bounds.
     assert combo["efficiency"] >= 0.99 * reference["efficiency"]
     assert abs(combo["canvases"] - reference["canvases"]) <= max(

@@ -46,13 +46,11 @@ def _patches(count: int = 160, seed: int = 5) -> list[Patch]:
 class TestSchedulerOptionsRecord:
     def test_defaults_match_historical_kwarg_defaults(self):
         options = SchedulerOptions()
-        assert options.incremental is True
         assert options.drift_margin == 0.05
         assert options.repack_scope == "queue"
         assert options.consolidation == "memo"
         assert options.retry_backoff is True
         assert options.use_index is True
-        assert options.canvas_index is False
         assert options.adaptive_budget is False
         assert options.max_partial_victims == 8
         assert options.partial_patch_budget == 48
@@ -128,7 +126,7 @@ class TestConfigCarriers:
     def test_stitcher_reads_every_knob_from_options(self):
         record = SchedulerOptions(
             repack_scope="canvas",
-            canvas_index=True,
+            use_index=False,
             max_partial_victims=4,
             partial_patch_budget=32,
         )
@@ -137,5 +135,4 @@ class TestConfigCarriers:
             stitcher.add(patch)
         assert stitcher.options is record
         assert (stitcher.max_partial_victims, stitcher.partial_patch_budget) == (4, 32)
-        assert stitcher.canvas_index_stats
         assert stitcher.index_stats == {}

@@ -60,6 +60,22 @@ def test_negative_delay_raises():
         simulator.schedule_in(-1.0, lambda sim: None)
 
 
+def test_nan_time_raises():
+    # NaN compares false against everything, so a ``time < now`` check
+    # used to let it into the event heap.
+    simulator = Simulator()
+    with pytest.raises(SimulationError):
+        simulator.schedule_at(float("nan"), lambda sim: None)
+    assert simulator.pending_events == 0
+
+
+def test_nan_delay_raises():
+    simulator = Simulator()
+    with pytest.raises(SimulationError, match="delay"):
+        simulator.schedule_in(float("nan"), lambda sim: None)
+    assert simulator.pending_events == 0
+
+
 def test_run_until_stops_before_later_events():
     simulator = Simulator()
     fired = []
