@@ -290,14 +290,24 @@ def bench_scheduler_arrival_fast() -> BenchResult:
 
 
 def _bench_deep_arrival(
-    name: str, patches, canvas_structure: str = "skyline", **scheduler_kwargs
+    name: str,
+    patches,
+    canvas_structure: str = "skyline",
+    repack_oracle: bool = False,
+    **scheduler_kwargs,
 ) -> BenchResult:
     """Deep-queue arrival microbenchmark: push every patch through
     ``receive_patch`` with a huge SLO and unconstrained memory so the
-    queue only grows, and time the arrival path alone."""
+    queue only grows, and time the arrival path alone.  ``repack_oracle``
+    swaps the uncached :class:`~repro.core.consolidation.RepackPolicy`
+    reference trial in for the engine's memo-cached one."""
+    from repro.core.consolidation import RepackPolicy
+
     simulator, scheduler = _build_scheduler(
         canvas_structure=canvas_structure, **scheduler_kwargs
     )
+    if repack_oracle:
+        scheduler._packer.consolidation_engine.policy = RepackPolicy()
     start = time.perf_counter()
     for patch in patches:
         scheduler.receive_patch(patch)
@@ -306,6 +316,7 @@ def _bench_deep_arrival(
         "queue_depth": len(patches),
         "pending_canvases": scheduler.pending_canvases,
         "canvas_structure": canvas_structure,
+        "repack_oracle": repack_oracle,
         "scheduler_kwargs": {
             key: value
             if not isinstance(value, float) or math.isfinite(value)
@@ -468,8 +479,9 @@ def bench_fleet_repack_skyline() -> BenchResult:
 #: patches) and the retry backoff disabled, so every wasteful overflow
 #: attempts a consolidation — under the growth-gate backoff both arms
 #: attempt so rarely that the pair would measure the backoff, not the
-#: policy ("memo"'s stamp cache *is* the precise replacement for that
-#: gate: it retries exactly when a member canvas changed).  Decisions are
+#: cache (the memo stamp cache *is* the precise replacement for that
+#: gate: it retries exactly when a member canvas changed).  The ``repack``
+#: arm installs the uncached RepackPolicy oracle; decisions are
 #: byte-identical between the two arms (tests/test_consolidation.py), so
 #: the timing difference is purely trial packs skipped by the cache.
 _CONSOLIDATION_ONLY = {
@@ -484,8 +496,8 @@ def _bench_consolidation(depth: int, policy: str) -> BenchResult:
     return _bench_deep_arrival(
         f"scheduler_arrival_consolidation_{policy}_{depth}",
         _make_crowded_patches(depth, seed=43),
+        repack_oracle=policy == "repack",
         use_index=True,
-        consolidation=policy,
         **_CONSOLIDATION_ONLY,
     )
 
@@ -504,16 +516,6 @@ def bench_consolidation_repack_4096() -> BenchResult:
 
 def bench_consolidation_memo_4096() -> BenchResult:
     return _bench_consolidation(4096, "memo")
-
-
-def bench_consolidation_merge_4096() -> BenchResult:
-    """The ``"merge"`` arm on the same crowded mix, for visibility: its
-    drain-and-migrate planning mostly stalls here (the whole point of the
-    mix is that nothing fits anywhere) and falls back to the memo-cached
-    trial pack, so it tracks the ``"memo"`` arm plus the stall probes.
-    Its winning regime is the realistic stream (see
-    ``scheduler_stream_merge_2048``)."""
-    return _bench_consolidation(4096, "merge")
 
 
 def bench_arrival_heavytail_1024() -> BenchResult:
@@ -610,18 +612,6 @@ def bench_stream_adaptive_2048() -> BenchResult:
         "scheduler_stream_adaptive_2048",
         repack_scope="canvas",
         adaptive_budget=True,
-    )
-
-
-def bench_stream_merge_2048() -> BenchResult:
-    """The same realistic stream under ``consolidation="merge"``: its
-    mean canvas efficiency against the memo/repack-decisions stream
-    (``scheduler_stream_partial_2048``) is the committed
-    ``consolidation_stream_efficiency_ratio`` (gated at >= 0.99)."""
-    return _bench_scheduler_stream(
-        "scheduler_stream_merge_2048",
-        repack_scope="canvas",
-        consolidation="merge",
     )
 
 
@@ -905,12 +895,10 @@ SECTIONS: Dict[str, Callable[[], BenchResult]] = {
     "scheduler_arrival_consolidation_memo_1024": bench_consolidation_memo_1024,
     "scheduler_arrival_consolidation_repack_4096": bench_consolidation_repack_4096,
     "scheduler_arrival_consolidation_memo_4096": bench_consolidation_memo_4096,
-    "scheduler_arrival_consolidation_merge_4096": bench_consolidation_merge_4096,
     "scheduler_stream_batchpack_2048": bench_stream_batch_packer_2048,
     "scheduler_stream_partial_2048": bench_stream_partial_repack_2048,
     "scheduler_stream_partial_guillotine_2048": bench_stream_partial_guillotine_2048,
     "scheduler_stream_adaptive_2048": bench_stream_adaptive_2048,
-    "scheduler_stream_merge_2048": bench_stream_merge_2048,
     "gmm_frame_loop": bench_gmm_frame_loop,
     "end_to_end_small": bench_end_to_end,
     "end_to_end_fleet_64": bench_end_to_end_fleet,
@@ -1097,17 +1085,6 @@ def _derive(sections: Dict[str, Dict[str, object]]) -> Dict[str, float]:
             derived["adaptive_stream_efficiency_ratio"] = round(
                 adaptive_eff / reference_eff, 4
             )
-    merge_stream = sections.get("scheduler_stream_merge_2048")
-    if partial and merge_stream:
-        # ``scheduler_stream_partial_2048`` runs the default "memo"
-        # policy, whose decisions are byte-identical to "repack" — so
-        # this ratio bounds the "merge" policy's efficiency drift.
-        reference_eff = float(partial["meta"].get("mean_canvas_efficiency", 0.0))
-        merge_eff = float(merge_stream["meta"].get("mean_canvas_efficiency", 0.0))
-        if reference_eff > 0:
-            derived["consolidation_stream_efficiency_ratio"] = round(
-                merge_eff / reference_eff, 4
-            )
     faultfree = sections.get("fleet_faultfree_1024")
     churn = sections.get("fleet_churn_1024")
     if faultfree and churn:
@@ -1217,7 +1194,6 @@ def check_against_baseline(
         ("skyline_pack_speedup_4096", min_skyline_speedup, "x"),
         ("skyline_stream_efficiency_ratio", min_efficiency_ratio, ""),
         ("consolidation_memo_speedup_4096", min_consolidation_speedup, "x"),
-        ("consolidation_stream_efficiency_ratio", min_efficiency_ratio, ""),
         ("adaptive_budget_speedup_4096", min_adaptive_speedup, "x"),
         ("adaptive_stream_efficiency_ratio", min_efficiency_ratio, ""),
         ("fleet_stream_efficiency_ratio", min_fleet_efficiency_ratio, ""),

@@ -43,7 +43,7 @@ def build_config(
     estimator_iterations: int = 100,
 ) -> FleetScenarioConfig:
     """The fleet scenario: one bounded uplink + retry chain per camera,
-    and the fleet's default canvas-scope ``"memo"`` scheduler."""
+    and the fleet's default canvas-scope scheduler."""
     return FleetScenarioConfig(
         workload=FleetWorkloadConfig(
             num_cameras=num_cameras,

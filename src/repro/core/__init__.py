@@ -18,8 +18,7 @@
   the number of pending canvases.
 * :mod:`repro.core.consolidation` -- the overflow-consolidation
   subsystem: the victim efficiency heap, the retry backoff, and the
-  pluggable ``repack`` / ``memo`` / ``merge`` policies behind the
-  ``SchedulerOptions.consolidation`` knob.
+  memo-cached trial re-pack (``RepackPolicy`` is its uncached reference).
 * :mod:`repro.core.latency` -- the latency estimator (offline profiling,
   slack = mean + 3 sigma).
 * :mod:`repro.core.scheduler` -- the online SLO-aware batching invoker that
@@ -30,11 +29,7 @@
 
 from repro.core.patches import Patch
 from repro.core.partitioning import FramePartitioner, partition_rois
-from repro.core.consolidation import (
-    CONSOLIDATION_POLICIES,
-    ConsolidationEngine,
-    ConsolidationPolicy,
-)
+from repro.core.consolidation import ConsolidationEngine
 from repro.core.freerect_index import FreeRectIndex
 from repro.core.options import REPACK_SCOPES, SchedulerOptions
 from repro.core.skyline import FreeRect, Skyline
@@ -55,10 +50,8 @@ __all__ = [
     "FramePartitioner",
     "partition_rois",
     "CANVAS_STRUCTURES",
-    "CONSOLIDATION_POLICIES",
     "Canvas",
     "ConsolidationEngine",
-    "ConsolidationPolicy",
     "FreeRect",
     "FreeRectIndex",
     "Skyline",

@@ -3,7 +3,7 @@
 Split out of :mod:`repro.core.stitching` when the consolidation subsystem
 moved into :mod:`repro.core.consolidation`: the canvas is the shared
 substrate all three layers (batch solver, incremental stitcher,
-consolidation policies) place patches on, and it carries no packing
+consolidation trial) place patches on, and it carries no packing
 *policy* of its own — just the free-space bookkeeping.
 
 Two interchangeable free-space structures implement the same contract,
@@ -144,38 +144,6 @@ class Canvas:
             f"canvas_id={self.canvas_id!r}, oversized={self.oversized!r}, "
             f"structure={self.structure!r}, num_patches={self.num_patches})"
         )
-
-    def clone(self) -> "Canvas":
-        """An independent copy for *trial* placements.
-
-        The consolidation ``"merge"`` policy plans patch migrations by
-        placing onto clones of the target canvases, then replays the
-        recorded ``(rect_index, patch)`` sequence on the real canvases at
-        commit time — placement is deterministic, so the replay lands
-        identically.  Patches themselves are shared (they are never
-        mutated by packing); the placement list and the free-space
-        structure are copied.
-        """
-        other = Canvas.__new__(Canvas)
-        other.width = self.width
-        other.height = self.height
-        other.canvas_id = self.canvas_id
-        other.oversized = self.oversized
-        other.placements = list(self.placements)
-        other.structure = self.structure
-        other._used_area = self.used_area  # syncs the cache if stale
-        other._used_count = len(other.placements)
-        if self.skyline is not None:
-            other.skyline = self.skyline.clone()
-            other._free_rectangles = []
-            other._free_stale = True
-        else:
-            other.skyline = None
-            # Box objects are never mutated by packing, so a shallow list
-            # copy keeps the clone independent.
-            other._free_rectangles = list(self._free_rectangles)
-            other._free_stale = False
-        return other
 
     @property
     def free_rectangles(self) -> List[Box]:

@@ -4,12 +4,9 @@ When an arriving patch fits no live free rectangle even though the
 pending canvases hold ample free space (a *wasteful overflow*), the
 incremental stitcher tries to *consolidate*: dissolve a few of the
 least-efficient canvases and re-home their patches so the packing needs
-at least one canvas fewer than just opening a new one.  PR 2 introduced
-that machinery inline in :mod:`repro.core.stitching`; this module is its
-extraction into a subsystem of its own, with the trial *strategy* made
-pluggable.
+at least one canvas fewer than just opening a new one.
 
-:class:`ConsolidationEngine` owns the pieces every strategy shares:
+:class:`ConsolidationEngine` owns the consolidation state:
 
 * the running **efficiency min-heap** over the live non-oversized
   canvases (lazy invalidation via per-slot version stamps), so victims
@@ -17,51 +14,34 @@ pluggable.
   per overflow;
 * the **failed-attempt backoff** (retry only once the queue grew by the
   current failure streak — probe bookkeeping only, cleared on reset);
-* dispatch to a :class:`ConsolidationPolicy`.
+* the trial **policy**, always a :class:`MemoPolicy`.
 
-Three policies implement the trial (the ``consolidation`` field of
-:class:`~repro.core.options.SchedulerOptions`):
+The trial batch re-packs the victims' pooled patches plus the incoming
+one from scratch (:meth:`~repro.core.stitching.PatchStitchingSolver.
+pack_within`) and is adopted only when it saves a canvas.
+:class:`RepackPolicy` is that trial, run on every attempt;
+:class:`MemoPolicy` extends it with a victim-pool signature cache: a
+pool that just failed to consolidate is rejected in O(victims) — no
+trial pack — until any member canvas changes.  The signature is the
+tuple of ``(slot, stamp)`` pairs from the engine's version stamps, so
+any mutation of a member canvas (a patch landing on it, a partial
+re-pack replacing it) invalidates the entry by construction; per
+signature a small *frontier* of failed patch footprints is kept and a
+new patch is only rejected when it dominates a failed one in both
+dimensions (an equal-or-harder re-trial of an unchanged pool).
 
-``"repack"``
-    PR 2/3 behaviour, extracted verbatim: batch re-pack the victims'
-    pooled patches plus the incoming one from scratch
-    (:meth:`~repro.core.stitching.PatchStitchingSolver.pack_within`) and
-    adopt the result only when it saves a canvas.  Pinned byte-identical
-    to the pre-refactor path by ``tests/test_consolidation.py``.
-``"memo"`` (the default)
-    ``"repack"`` plus a victim-pool signature cache: a pool that just
-    failed to consolidate is rejected in O(victims) — no trial pack —
-    until any member canvas changes.  The signature is the tuple of
-    ``(slot, stamp)`` pairs from the engine's version stamps, so any
-    mutation of a member canvas (a patch landing on it, a partial
-    re-pack replacing it) invalidates the entry by construction; per
-    signature a small *frontier* of failed patch footprints is kept and
-    a new patch is only rejected when it dominates a failed one in both
-    dimensions (an equal-or-harder re-trial of an unchanged pool).
-    Decisions are byte-identical to ``"repack"`` on every workload the
-    equivalence suite runs; the cache only skips provably-or-empirically
-    repeat failures.
-``"merge"``
-    Incremental consolidation: instead of batch re-packing a victim
-    pool, migrate the patches of the single worst canvas into its
-    siblings' existing free rectangles (probed through the size-class
-    :class:`~repro.core.freerect_index.FreeRectIndex` when enabled),
-    then reuse the emptied canvas for the incoming patch.  Saves the
-    same one canvas as an adopted re-pack at O(victim patches) probes
-    instead of a from-scratch trial pack.  Falls back to the
-    (memo-cached) trial re-pack whenever migration stalls (some patch
-    fits no sibling).  Packing metrics drift slightly from ``"repack"``
-    (bounded by the drift tests and the
-    ``consolidation_stream_efficiency_ratio`` benchmark gate).
+:class:`RepackPolicy` survives as the reference the memo cache is pinned
+against: assigning ``stitcher.consolidation_engine.policy =
+RepackPolicy()`` runs every trial, and ``tests/test_consolidation.py``
+holds the two byte-identical in decisions on every workload it runs.
 
-The necessary-condition pre-checks run before any trial pack, for every
-policy that re-packs:
+The necessary-condition pre-checks run before any trial pack:
 
 * the victims' combined free capacity must at least hold the incoming
-  patch (PR 2);
+  patch;
 * the pool must not contain more *unpairable* patches — wider than half
   the canvas **and** taller than half the canvas, so no two of them can
-  ever share a canvas — than the trial is allowed canvases (new here).
+  ever share a canvas — than the trial is allowed canvases.
   Both are exact: they only reject pools whose trial pack provably
   fails, so they never change a decision.  (A tempting stronger check —
   rejecting when the incoming patch exceeds every victim's largest free
@@ -78,59 +58,33 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.core.patches import Patch
 
 if TYPE_CHECKING:  # pragma: no cover - stitching imports us lazily
-    from repro.core.canvas import Canvas
     from repro.core.stitching import IncrementalStitcher, PlacementPlan
 
-__all__ = [
-    "CONSOLIDATION_POLICIES",
-    "ConsolidationEngine",
-    "ConsolidationPolicy",
-    "RepackPolicy",
-    "MemoPolicy",
-    "MergePolicy",
-    "make_policy",
-]
-
-#: Valid values of the ``consolidation`` knob (stitcher/scheduler/configs).
-CONSOLIDATION_POLICIES = ("repack", "memo", "merge")
-
-
-def make_policy(name: str) -> "ConsolidationPolicy":
-    """Instantiate the policy registered under ``name``."""
-    if name == "repack":
-        return RepackPolicy()
-    if name == "memo":
-        return MemoPolicy()
-    if name == "merge":
-        return MergePolicy()
-    raise ValueError(
-        f"consolidation must be one of {CONSOLIDATION_POLICIES}, got {name!r}"
-    )
+__all__ = ["ConsolidationEngine", "RepackPolicy", "MemoPolicy"]
 
 
 class ConsolidationEngine:
-    """Shared consolidation state and policy dispatch for one stitcher.
+    """Shared consolidation state for one stitcher.
 
     The engine is the stitcher's consolidation half: it reads the live
     canvas list, the batch solver, and the victim budgets straight from
     its owner (they are one object split across two modules, not an
     abstraction boundary) and keeps everything only consolidation needs:
-    the efficiency heap, the version stamps, the backoff, and the policy
-    with its caches.
+    the efficiency heap, the version stamps, the backoff, and the trial
+    policy with its cache.  :attr:`policy` is a :class:`MemoPolicy`;
+    assigning a :class:`RepackPolicy` instead installs the reference
+    trial (tests and the perf harness do, to pin and time the cache).
 
     Parameters
     ----------
     stitcher:
         The owning :class:`~repro.core.stitching.IncrementalStitcher`.
-    policy:
-        A policy name from :data:`CONSOLIDATION_POLICIES` or a
-        ready-made :class:`ConsolidationPolicy` instance.
     retry_backoff:
         When true (the default, PR-2 behaviour) a failed attempt arms
         the linear backoff: the next attempt waits until the queue grew
         by the current failure streak.  ``False`` retries on every
         wasteful overflow — the configuration the consolidation A/B
-        benchmark runs, where ``"memo"``'s stamp cache subsumes the
+        benchmark runs, where the memo stamp cache subsumes the
         crude growth gate (it retries exactly when a member canvas
         changed instead of guessing from queue growth).
     """
@@ -138,11 +92,10 @@ class ConsolidationEngine:
     def __init__(
         self,
         stitcher: "IncrementalStitcher",
-        policy: str = "memo",
         retry_backoff: bool = True,
     ) -> None:
         self.stitcher = stitcher
-        self.policy = policy if not isinstance(policy, str) else make_policy(policy)
+        self.policy: RepackPolicy = MemoPolicy()
         self.retry_backoff = retry_backoff
         #: Running min-heap of ``(efficiency, canvas_index, stamp)`` over
         #: the live non-oversized canvases.  Entries are invalidated
@@ -161,14 +114,12 @@ class ConsolidationEngine:
             "capacity_rejects": 0,
             "unpairable_rejects": 0,
             "memo_rejects": 0,
-            "merges_planned": 0,
-            "merge_stalls": 0,
         }
 
     # ------------------------------------------------------------- lifecycle
     def rebuild(self) -> None:
         """Re-seed heap and stamps from the stitcher's live canvas list
-        and clear the backoff and every policy cache.  Called whenever
+        and clear the backoff and the policy cache.  Called whenever
         the list itself was replaced or slots were deleted (adopting a
         re-pack, resetting the queue, a consolidating commit)."""
         canvases = self.stitcher._canvases
@@ -287,20 +238,6 @@ class ConsolidationEngine:
             if stamp == stamps[index]
         )
 
-    def worst_slot(self) -> Optional[int]:
-        """Slot of the least-efficient live non-oversized canvas, or
-        ``None`` when no standard canvas exists.  Peeks the heap root
-        (dropping stale entries for good) without consuming it."""
-        heap = self._heap
-        stamps = self._stamps
-        while heap:
-            entry = heap[0]
-            if entry[2] != stamps[entry[1]]:
-                heapq.heappop(heap)
-                continue
-            return entry[1]
-        return None
-
 
 def unpairable(patch: Patch, canvas_width: float, canvas_height: float) -> bool:
     """True when no two such patches can ever share one canvas.
@@ -315,20 +252,8 @@ def unpairable(patch: Patch, canvas_width: float, canvas_height: float) -> bool:
     return patch.width > 0.5 * canvas_width and patch.height > 0.5 * canvas_height
 
 
-class ConsolidationPolicy:
-    """Strategy interface: produce a consolidation plan or ``None``."""
-
-    name = "abstract"
-
-    def plan(self, engine: ConsolidationEngine, patch: Patch) -> Optional["PlacementPlan"]:
-        raise NotImplementedError
-
-    def forget(self) -> None:
-        """Drop any cached state (canvas slots were renumbered)."""
-
-
-class RepackPolicy(ConsolidationPolicy):
-    """PR 2/3's from-scratch trial re-pack, extracted verbatim.
+class RepackPolicy:
+    """The from-scratch trial re-pack (the reference trial).
 
     The victim set is grown greedily over the least-efficient standard
     canvases (see :meth:`ConsolidationEngine.select_victims`) — so on a
@@ -344,7 +269,8 @@ class RepackPolicy(ConsolidationPolicy):
     never lower mean canvas efficiency — than not re-packing at all.
     """
 
-    name = "repack"
+    def forget(self) -> None:
+        """Drop any cached state (canvas slots were renumbered)."""
 
     def plan(self, engine: ConsolidationEngine, patch: Patch) -> Optional["PlacementPlan"]:
         pool, pool_used, victim_indices = engine.select_victims(patch)
@@ -396,7 +322,7 @@ class RepackPolicy(ConsolidationPolicy):
 
 
 class MemoPolicy(RepackPolicy):
-    """``"repack"`` plus the victim-pool signature cache.
+    """The trial re-pack plus the victim-pool signature cache.
 
     A failed trial records the pool's signature — the victims' ``(slot,
     stamp)`` pairs — with the failed patch's footprint.  A later attempt
@@ -409,11 +335,9 @@ class MemoPolicy(RepackPolicy):
     The footprint check leans on the trial pack being monotone in the
     incoming patch's dimensions.  First-fit-decreasing is not *provably*
     monotone, so the equivalence suite pins memo decisions byte-identical
-    to ``"repack"`` across randomized streams at depths 64-4096 (and the
+    to :class:`RepackPolicy` across randomized streams at depths 64-4096 (and the
     drift would be one extra ``"new"`` canvas, never a broken packing).
     """
-
-    name = "memo"
 
     #: Cache size cap; on overflow the whole cache is dropped (signatures
     #: die fast anyway — any member mutation orphans them).
@@ -466,157 +390,3 @@ class MemoPolicy(RepackPolicy):
         frontier.append((width, height))
         if len(frontier) > self.max_frontier:
             del frontier[0]
-
-
-class MergePolicy(MemoPolicy):
-    """Incremental consolidation by patch migration.
-
-    A consolidation moment is exactly when the incoming patch fits no
-    live free rectangle; the worst (least-efficient) canvas holds the
-    most free space, just fragmented around its residents.  Instead of
-    batch re-packing a whole victim pool, this policy *drains* the worst
-    canvas: migrate residents into siblings' existing free rectangles,
-    largest migratable resident first, until the remainder plus the
-    incoming patch re-pack onto a single fresh canvas that replaces the
-    victim slot.  Residents that fit no sibling simply stay (typically
-    the founder patch, which opened the canvas precisely because it fit
-    nowhere) — only enough room for the incoming patch must be freed.
-    The canvas count is unchanged, one fewer than the ``"new"``
-    alternative — the same saving an adopted trial re-pack banks, at
-    O(residents) index probes plus one single-canvas mini re-pack
-    instead of a from-scratch trial over a multi-victim pool.
-
-    Plans against *clones*: each migration target is copied on first use
-    and trial placements land on the copy, so the probe mutates nothing;
-    the commit replays the recorded ``(slot, rect_index, patch)``
-    sequence on the real canvases, which is exact because placement is
-    deterministic and the clones started identical.  The first probe of
-    each migration goes through the size-class index (exact global BSSF,
-    excluding the victim); once any target holds trial placements the
-    index is stale for it, so later probes fall back to the clone-aware
-    linear scan.  When draining stalls, the policy falls back to the
-    trial re-pack — through the ``"memo"`` signature cache (this class
-    extends :class:`MemoPolicy`), so a pool that keeps stalling does not
-    keep paying for the same failing trial pack either.
-    """
-
-    name = "merge"
-
-    def plan(self, engine: ConsolidationEngine, patch: Patch) -> Optional["PlacementPlan"]:
-        merged = self._plan_merge(engine, patch)
-        if merged is not None:
-            engine.stats["merges_planned"] += 1
-            return merged
-        engine.stats["merge_stalls"] += 1
-        return super().plan(engine, patch)
-
-    def _probe_siblings(
-        self,
-        engine: ConsolidationEngine,
-        canvases: List["Canvas"],
-        clones: Dict[int, "Canvas"],
-        worst: int,
-        migrant: Patch,
-    ) -> Optional[Tuple[int, int]]:
-        """Best ``(canvas_index, rect_index)`` for ``migrant`` among the
-        victim's siblings, seeing pending trial placements via clones.
-
-        The first probe of each migration goes through the stitcher's
-        probe index when it has one (exact global BSSF, excluding the
-        victim); once any target holds trial placements the index is
-        stale for it, so later probes fall back to the clone-aware
-        linear scan.
-        """
-        index = engine.stitcher._index
-        if not clones and index is not None:
-            fit = index.best_fit(migrant.width, migrant.height, exclude=frozenset((worst,)))
-        else:
-            fit = self._scan_siblings(canvases, clones, worst, migrant)
-        if fit is None:
-            return None
-        return fit[0], fit[1]
-
-    @staticmethod
-    def _scan_siblings(
-        canvases: List["Canvas"],
-        clones: Dict[int, "Canvas"],
-        worst: int,
-        migrant: Patch,
-    ) -> Optional[Tuple[int, int, float]]:
-        """The clone-aware linear sibling scan (reference semantics)."""
-        best: Optional[Tuple[float, int, int]] = None
-        for canvas_index, canvas in enumerate(canvases):
-            if canvas_index == worst or canvas.oversized:
-                continue
-            target = clones.get(canvas_index, canvas)
-            fit = target.best_fit(migrant)
-            if fit is not None:
-                candidate = (fit[1], canvas_index, fit[0])
-                if best is None or candidate < best:
-                    best = candidate
-        if best is None:
-            return None
-        return best[1], best[2], best[0]
-
-    def _plan_merge(
-        self, engine: ConsolidationEngine, patch: Patch
-    ) -> Optional["PlacementPlan"]:
-        from repro.core.stitching import PlacementPlan
-
-        stitcher = engine.stitcher
-        worst = engine.worst_slot()
-        if worst is None:
-            return None
-        canvases = stitcher._canvases
-        victim = canvases[worst]
-        if victim.num_patches > stitcher.effective_patch_budget:
-            # Bound the per-overflow migration work the same way the
-            # repack path bounds its pooled patch count.
-            return None
-        solver = stitcher.solver
-        clones: Dict[int, "Canvas"] = {}
-        migrations: List[Tuple[int, int, Patch]] = []
-        remaining = [placement.patch for placement in victim.placements]
-        remaining.sort(key=lambda p: p.area, reverse=True)
-        remaining_area = victim.used_area
-        replacement = None
-        cursor = 0
-        while True:
-            if solver.canvas_area - remaining_area >= patch.area:
-                # Enough area drained for the incoming patch to possibly
-                # fit the remainder's re-pack; one bounded mini-trial
-                # (aborts the moment a second canvas would open) decides.
-                trial = solver.pack_within(remaining + [patch], 1)
-                if trial is not None:
-                    replacement = trial[0]
-                    break
-            # Drain the largest remaining resident that fits a sibling.
-            # Sibling space only shrinks as migrations accumulate, so a
-            # resident found unmigratable stays unmigratable: the cursor
-            # never revisits it.
-            target = None
-            while cursor < len(remaining):
-                migrant = remaining[cursor]
-                target = self._probe_siblings(engine, canvases, clones, worst, migrant)
-                if target is not None:
-                    break
-                cursor += 1  # unmigratable resident: it stays put
-            if target is None:
-                return None  # drained everything movable and still stuck
-            canvas_index, rect_index = target
-            clone = clones.get(canvas_index)
-            if clone is None:
-                clone = clones[canvas_index] = canvases[canvas_index].clone()
-            clone.place(migrant, rect_index)
-            migrations.append((canvas_index, rect_index, migrant))
-            del remaining[cursor]
-            remaining_area -= migrant.area
-        return PlacementPlan(
-            patch=patch,
-            kind="merge",
-            canvases_after=len(canvases),
-            equivalent_after=stitcher._equivalent,
-            repacked=[replacement],
-            victim_indices=[worst],
-            migrations=migrations,
-        )

@@ -167,21 +167,11 @@ class FreeRectIndex:
 
     # ------------------------------------------------------------------ query
     def best_fit(
-        self,
-        patch_width: float,
-        patch_height: float,
-        exclude: Optional[frozenset] = None,
+        self, patch_width: float, patch_height: float
     ) -> Optional[Tuple[int, int, float]]:
         """Exact global BSSF: ``(canvas_index, rect_index, score)`` of the
         lexicographically minimal ``(score, canvas_index, rect_index)``
-        among all live rectangles fitting the patch, or ``None``.
-
-        ``exclude`` (a set of canvas indices) removes whole canvases from
-        consideration without touching their entries — the consolidation
-        ``"merge"`` policy uses it to probe for a migration target other
-        than the canvas being dissolved.  The default ``None`` keeps the
-        hot probe path branch-cheap.
-        """
+        among all live rectangles fitting the patch, or ``None``."""
         self.stats["queries"] += 1
         width_class = size_class(patch_width)
         height_class = size_class(patch_height)
@@ -223,8 +213,6 @@ class FreeRectIndex:
                 if versions[canvas_index] != version:
                     stale += 1
                     continue
-                if exclude is not None and canvas_index in exclude:
-                    continue  # live, just out of bounds for this query
                 entries_scanned += 1
                 if width >= patch_width and height >= patch_height:
                     slack_w = width - patch_width

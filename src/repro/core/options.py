@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.canvas import CANVAS_STRUCTURES
-from repro.core.consolidation import CONSOLIDATION_POLICIES
 
 #: Overflow re-pack scopes of the incremental stitcher.
 REPACK_SCOPES = ("queue", "canvas")
@@ -45,17 +44,13 @@ class SchedulerOptions:
     #: queue (best quality, O(queue) per re-pack); ``"canvas"``
     #: consolidates only the few least-efficient canvases, which keeps the
     #: overflow path flat at fleet-scale queue depths.  A consolidation is
-    #: adopted only when it saves at least one canvas.
+    #: adopted only when it saves at least one canvas; its trial re-packs
+    #: run behind a victim-pool signature cache (see
+    #: :mod:`repro.core.consolidation`).
     repack_scope: str = "queue"
-    #: Canvas scope: the consolidation policy.  ``"memo"`` runs trial
-    #: re-packs behind a victim-pool signature cache (decisions
-    #: byte-identical to ``"repack"``); ``"repack"`` is the from-scratch
-    #: trial; ``"merge"`` migrates patches incrementally with a
-    #: ``"repack"`` fallback.  See :mod:`repro.core.consolidation`.
-    consolidation: str = "memo"
     #: Canvas scope: arm the linear failed-attempt backoff between
     #: consolidation attempts.  ``False`` retries on every wasteful
-    #: overflow (pair it with ``"memo"``, whose cache subsumes the gate).
+    #: overflow (the trial cache then subsumes the gate).
     retry_backoff: bool = True
     #: Answer probes from the size-class
     #: :class:`~repro.core.freerect_index.FreeRectIndex` instead of a
@@ -93,11 +88,6 @@ class SchedulerOptions:
         if self.repack_scope not in REPACK_SCOPES:
             raise ValueError(
                 f"repack_scope must be one of {REPACK_SCOPES}, got {self.repack_scope!r}"
-            )
-        if self.consolidation not in CONSOLIDATION_POLICIES:
-            raise ValueError(
-                f"unknown consolidation policy {self.consolidation!r}; "
-                f"valid: {CONSOLIDATION_POLICIES}"
             )
         if self.canvas_structure not in CANVAS_STRUCTURES:
             raise ValueError(

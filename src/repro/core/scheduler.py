@@ -234,7 +234,7 @@ class TangramScheduler(BaseScheduler):
         GPU memory one canvas occupies during inference (``w``).
     options:
         The :class:`~repro.core.options.SchedulerOptions` knobs (re-pack
-        scope, consolidation policy, probe index, literal Algorithm 2 via
+        scope, retry backoff, probe index, literal Algorithm 2 via
         ``full_repack_equivalent``, canvas structure, admission watermark;
         documented on its fields), exposed as :attr:`options`.  ``canvas_structure`` applies
         when the scheduler builds its own solver; a ``solver`` passed in
@@ -325,14 +325,6 @@ class TangramScheduler(BaseScheduler):
             return False
         self.shed.append(patch)
         return True
-
-    @property
-    def degradation_stats(self) -> dict:
-        """Shed-vs-violation accounting of the admission watermark."""
-        return {
-            "shed": len(self.shed),
-            "slo_violations": sum(1 for o in self.all_outcomes if o.violated),
-        }
 
     # ---------------------------------------------------------------- arrival
     def receive_patch(self, patch: Patch) -> None:

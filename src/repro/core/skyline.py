@@ -175,24 +175,6 @@ class Skyline:
         self.fit_heights: List[float] = [height]
         self.fit_maxw: List[float] = [width]
 
-    def clone(self) -> "Skyline":
-        """An independent copy (for the merge policy's trial placements).
-
-        Every slot is a plain list of immutable tuples/floats, so shallow
-        list copies fully decouple the clone from the original.
-        """
-        other = Skyline.__new__(Skyline)
-        other.width = self.width
-        other.height = self.height
-        other.xs = list(self.xs)
-        other.ys = list(self.ys)
-        other.waste = list(self.waste)
-        other.candidates = list(self.candidates)
-        other.num_surface = self.num_surface
-        other.fit_heights = list(self.fit_heights)
-        other.fit_maxw = list(self.fit_maxw)
-        return other
-
     # -------------------------------------------------------------- queries
     @property
     def segments(self) -> List[Tuple[float, float, float]]:

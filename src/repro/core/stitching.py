@@ -22,9 +22,8 @@ Their substrates live in sibling modules: the canvas itself (free-space
 bookkeeping, both the skyline and guillotine structures) in
 :mod:`repro.core.canvas`, the size-class probe index in
 :mod:`repro.core.freerect_index`, and the overflow-consolidation
-subsystem (victim heap, retry backoff, the pluggable
-``repack``/``memo``/``merge`` policies) in
-:mod:`repro.core.consolidation`.
+subsystem (victim heap, retry backoff, the memo-cached trial re-pack)
+in :mod:`repro.core.consolidation`.
 
 Patches are never resized, padded, rotated, or overlapped -- that is the
 point of the design (resizing costs accuracy, padding costs compute).
@@ -313,11 +312,9 @@ class PlacementPlan:
     patch: Patch
     #: ``"fit"`` (placed into an existing canvas), ``"new"`` (opens a blank
     #: canvas), ``"oversized"`` (opens a dedicated oversized canvas),
-    #: ``"repack"`` (the whole queue was re-packed from scratch),
+    #: ``"repack"`` (the whole queue was re-packed from scratch), or
     #: ``"partial"`` (only the least-efficient canvases were re-packed
-    #: together with the incoming patch), or ``"merge"`` (the worst
-    #: canvas's patches migrate into siblings and the emptied canvas is
-    #: reused for the incoming patch).
+    #: together with the incoming patch).
     kind: str
     #: Canvas count if the plan is committed (GPU-memory constraint input).
     canvases_after: int
@@ -327,18 +324,11 @@ class PlacementPlan:
     rect_index: int = -1
     #: For ``kind == "repack"``: the already-computed packing of the whole
     #: queue.  For ``kind == "partial"``: the replacement canvases of the
-    #: re-packed victims (always fewer than ``victims + 1``).  For
-    #: ``kind == "merge"``: the single fresh canvas holding the incoming
-    #: patch that replaces the emptied victim.
+    #: re-packed victims (always fewer than ``victims + 1``).
     repacked: Optional[List[Canvas]] = None
     #: For ``kind == "partial"``: indices of the canvases being dissolved
-    #: into ``repacked`` (the least-efficient ones first).  For
-    #: ``kind == "merge"``: the single emptied canvas's index.
+    #: into ``repacked`` (the least-efficient ones first).
     victim_indices: Optional[List[int]] = None
-    #: Only for ``kind == "merge"``: the ``(canvas_index, rect_index,
-    #: patch)`` sequence migrating the victim's patches into siblings,
-    #: replayed in order at commit time.
-    migrations: Optional[List[Tuple[int, int, Patch]]] = None
 
 
 class IncrementalStitcher:
@@ -379,7 +369,7 @@ class IncrementalStitcher:
         estimator's ``canvas_pixels`` when the two are configured apart.
     options:
         The :class:`~repro.core.options.SchedulerOptions` knobs (drift
-        margin, re-pack scope, consolidation policy, probe index, budgets,
+        margin, re-pack scope, retry backoff, probe index, budgets,
         full-repack-equivalent mode; documented on its fields), exposed as
         :attr:`options`.  ``canvas_structure`` and ``admission_watermark``
         belong to the scheduler and are ignored here.
@@ -426,18 +416,15 @@ class IncrementalStitcher:
             "oversized_canvases": 0,
             "full_repacks": 0,
             "partial_repacks": 0,
-            "merges": 0,
             "resets": 0,
         }
         self._patches: List[Patch] = []
         self._canvases: List[Canvas] = []
         # The consolidation engine owns the efficiency heap, the retry
-        # backoff, and the policy (raises on an unknown policy name).
+        # backoff, and the memo-cached trial policy.
         from repro.core.consolidation import ConsolidationEngine
 
-        self._consolidation = ConsolidationEngine(
-            self, policy=opts.consolidation, retry_backoff=opts.retry_backoff
-        )
+        self._consolidation = ConsolidationEngine(self, retry_backoff=opts.retry_backoff)
         self._consolidation.rebuild()
         # Attach the (identity-stable) canvas list now: compaction re-walks
         # it, and every later mutation is either in place or goes through
@@ -491,10 +478,12 @@ class IncrementalStitcher:
 
     @property
     def consolidation_engine(self) -> "ConsolidationEngine":
-        """The consolidation engine, exposed read-only for introspection
-        (tests pin heap contents through
-        :meth:`~repro.core.consolidation.ConsolidationEngine.
-        heap_entries` instead of reaching into private attributes)."""
+        """The consolidation engine, exposed for introspection (tests pin
+        heap contents through :meth:`~repro.core.consolidation.
+        ConsolidationEngine.heap_entries` instead of reaching into private
+        attributes) and as the seam that installs the
+        :class:`~repro.core.consolidation.RepackPolicy` reference trial:
+        ``stitcher.consolidation_engine.policy = RepackPolicy()``."""
         return self._consolidation
 
     @property
@@ -528,7 +517,7 @@ class IncrementalStitcher:
     @property
     def consolidation_stats(self) -> dict:
         """Counters of the consolidation engine (attempts, trial packs,
-        pre-check and memo rejections, merges)."""
+        pre-check and memo rejections)."""
         return dict(self._consolidation.stats)
 
     # ------------------------------------------------------------ probe/commit
@@ -662,8 +651,6 @@ class IncrementalStitcher:
             return self._canvases
         if plan.kind == "partial":
             return self._commit_partial(plan)
-        if plan.kind == "merge":
-            return self._commit_merge(plan)
         if plan.kind == "oversized":
             canvas = Canvas(
                 width=patch.width,
@@ -739,34 +726,6 @@ class IncrementalStitcher:
                 self._consolidation.touch(slot)
             for slot, canvas in zip(reused, replacements):
                 self._reindex_slot(slot, canvas)
-        return self._canvases
-
-    def _commit_merge(self, plan: PlacementPlan) -> List[Canvas]:
-        """Adopt a merge plan: replay the planned migrations on the real
-        canvases, then reuse the emptied victim slot for the fresh canvas
-        holding the incoming patch.  The canvas count is unchanged (one
-        fewer than the ``"new"`` alternative); migrations move patch area
-        between live canvases, so only the incoming patch changes the
-        drift bookkeeping."""
-        assert plan.repacked is not None and plan.victim_indices
-        assert plan.migrations is not None
-        canvases = self._canvases
-        for slot, rect_index, migrant in plan.migrations:
-            canvases[slot].place(migrant, rect_index)
-        replacement = plan.repacked[0]
-        replacement.canvas_id = self._next_id
-        self._next_id += 1
-        victim_slot = plan.victim_indices[0]
-        canvases[victim_slot] = replacement
-        self._active_used += plan.patch.area
-        self._equivalent = plan.equivalent_after
-        self.stats["merges"] += 1
-        self._overflow_streak = 0
-        touched = {slot for slot, _rect, _p in plan.migrations}
-        touched.add(victim_slot)
-        for slot in touched:
-            self._consolidation.touch(slot)
-            self._reindex_slot(slot, canvases[slot])
         return self._canvases
 
     def add(self, patch: Patch) -> List[Canvas]:

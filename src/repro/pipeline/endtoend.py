@@ -75,18 +75,6 @@ class EndToEndConfig:
     #: structure of the solver the scheduler is built around (see
     #: :class:`~repro.core.options.SchedulerOptions`).
     scheduler_options: SchedulerOptions = field(default_factory=SchedulerOptions)
-    #: Lossy/jittery uplink mode (fleet fault experiments): per-send loss
-    #: probability, propagation-jitter bound (seconds), and the seed of
-    #: the counter-based draws.  The 0.0/0.0 default never touches the
-    #: hash path and stays byte-identical to the loss-free pipeline.
-    uplink_loss_probability: float = 0.0
-    uplink_jitter_s: float = 0.0
-    uplink_fault_seed: int = 0
-    #: Expire patches whose deadline already passed when they arrive at
-    #: the cloud, *before* they reach the stitcher -- counted in
-    #: :attr:`EndToEndResult.expired_at_ingest`, separately from
-    #: scheduler-side SLO misses.
-    expire_stale_at_ingest: bool = False
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -99,10 +87,6 @@ class EndToEndConfig:
                 raise ValueError(f"{knob.name} must be finite, got {value!r}")
         if self.bandwidth_mbps <= 0 or self.slo <= 0 or self.fps <= 0:
             raise ValueError("bandwidth_mbps, slo and fps must be positive")
-        if not 0.0 <= self.uplink_loss_probability < 1.0:
-            raise ValueError("uplink_loss_probability must be in [0, 1)")
-        if self.uplink_jitter_s < 0:
-            raise ValueError("uplink_jitter_s must be non-negative")
 
 
 @dataclass
@@ -116,12 +100,6 @@ class EndToEndResult:
     total_uploaded_bytes: float = 0.0
     total_transmission_time: float = 0.0
     simulated_duration: float = 0.0
-    #: Patches that arrived past their deadline and were expired at the
-    #: cloud ingress, before burning a stitcher probe (only populated when
-    #: ``config.expire_stale_at_ingest`` is set).
-    expired_at_ingest: int = 0
-    #: Transmissions the lossy uplink mode dropped (loss or outage).
-    dropped_transmissions: int = 0
 
     # ----------------------------------------------------------------- basics
     @property
@@ -228,17 +206,9 @@ class EndToEndRunner:
             )
             for camera_id in frames_by_camera
         }
-        fault_knobs = dict(
-            loss_probability=config.uplink_loss_probability,
-            jitter_s=config.uplink_jitter_s,
-            fault_seed=config.uplink_fault_seed,
-        )
         if config.shared_uplink:
             shared = Uplink(
-                self.simulator,
-                bandwidth_mbps=config.bandwidth_mbps,
-                name="uplink/shared",
-                **fault_knobs,
+                self.simulator, bandwidth_mbps=config.bandwidth_mbps, name="uplink/shared"
             )
             self.uplinks = {camera_id: shared for camera_id in frames_by_camera}
         else:
@@ -247,13 +217,11 @@ class EndToEndRunner:
                     self.simulator,
                     bandwidth_mbps=config.bandwidth_mbps,
                     name=f"uplink/{camera_id}",
-                    **fault_knobs,
                 )
                 for camera_id in frames_by_camera
             }
         self._num_frames = sum(len(frames) for frames in frames_by_camera.values())
         self._num_patches = 0
-        self._expired_at_ingest = 0
 
     # -------------------------------------------------------------- scheduler
     def _build_scheduler(self) -> BaseScheduler:
@@ -307,17 +275,6 @@ class EndToEndRunner:
             streams=self.streams.spawn("scheduler"),
         )
 
-    # --------------------------------------------------------------- delivery
-    def _deliver(self, patch) -> None:
-        """Cloud ingress: expire stale arrivals before the stitcher probes."""
-        if (
-            self.config.expire_stale_at_ingest
-            and patch.deadline <= self.simulator.now
-        ):
-            self._expired_at_ingest += 1
-            return
-        self.scheduler.receive_patch(patch)
-
     # ------------------------------------------------------------------- run
     def run(self) -> EndToEndResult:
         """Schedule every camera's frames and run the simulation to the end."""
@@ -352,7 +309,7 @@ class EndToEndRunner:
                             size,
                             payload=patch,
                             on_delivered=lambda record, patch=patch: (
-                                self._deliver(patch)
+                                self.scheduler.receive_patch(patch)
                             ),
                         )
 
@@ -383,10 +340,6 @@ class EndToEndRunner:
             total_uploaded_bytes=total_uploaded,
             total_transmission_time=total_transmission,
             simulated_duration=self.simulator.now,
-            expired_at_ingest=self._expired_at_ingest,
-            dropped_transmissions=sum(
-                len(uplink.drops) for uplink in unique_uplinks.values()
-            ),
         )
 
 

@@ -1,4 +1,8 @@
-"""The chaos fault matrix: every fault class x every consolidation policy.
+"""The chaos fault matrix: every fault class x both consolidation trials.
+
+The trials are the engine's ``memo`` cache and its uncached ``repack``
+oracle (:class:`~repro.core.consolidation.RepackPolicy`, installed on
+every engine the run builds through the engine's ``policy`` seam).
 
 For each cell the contracts are:
 
@@ -16,9 +20,12 @@ CI ``chaos`` job sets it; locally ``RUN_CHAOS=1 pytest tests/chaos``).
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
+from repro.core.consolidation import ConsolidationEngine, RepackPolicy
 from repro.core.options import SchedulerOptions
 from repro.fleet import (
     FaultPlan,
@@ -35,7 +42,7 @@ pytestmark = pytest.mark.skipif(
 
 PLAN_SEED = 23
 DURATION = 6.0
-POLICIES = ("repack", "memo", "merge")
+POLICIES = ("repack", "memo")
 INTENSITIES = (0.0, 0.5, 1.0)
 
 #: One knob set per fault class; everything else stays zero so each cell
@@ -48,21 +55,41 @@ FAULT_KNOBS = {
 }
 
 
-def _config(policy: str) -> FleetScenarioConfig:
+def _config() -> FleetScenarioConfig:
     return FleetScenarioConfig(
         workload=FleetWorkloadConfig(num_cameras=6, fps=4.0, duration_s=DURATION, seed=7),
-        scheduler_options=SchedulerOptions(repack_scope="canvas", consolidation=policy),
+        scheduler_options=SchedulerOptions(repack_scope="canvas"),
         estimator_iterations=100,
     )
 
 
+@contextmanager
+def _trial(policy: str):
+    """Run the body under ``policy``: ``"memo"`` is every engine's own;
+    ``"repack"`` swaps the oracle into each engine as it is built."""
+    if policy == "memo":
+        yield
+        return
+    assert policy == "repack", policy
+    build = ConsolidationEngine.__init__
+
+    def build_with_oracle(engine, *args, **kwargs):
+        build(engine, *args, **kwargs)
+        engine.policy = RepackPolicy()
+
+    with mock.patch.object(ConsolidationEngine, "__init__", build_with_oracle):
+        yield
+
+
 def _run(policy: str, plan):
     """One single-scheduler run (``shards=1``) of ``policy``'s config."""
-    return run_sharded_scenario(ShardScenarioConfig(base=_config(policy), shards=1), plan).fleet
+    with _trial(policy):
+        config = ShardScenarioConfig(base=_config(), shards=1)
+        return run_sharded_scenario(config, plan).fleet
 
 
 def _plan(fault: str, intensity: float) -> FaultPlan:
-    cameras = camera_ids(_config("memo").workload)
+    cameras = camera_ids(_config().workload)
     return FaultPlan.generate(
         seed=PLAN_SEED,
         camera_ids=cameras,
@@ -117,7 +144,7 @@ def test_full_intensity_runs_are_deterministic(policy, fault):
 @pytest.mark.parametrize("policy", POLICIES)
 def test_combined_fault_cocktail_completes(policy):
     """All four classes at once: the worst case still finishes cleanly."""
-    cameras = camera_ids(_config(policy).workload)
+    cameras = camera_ids(_config().workload)
     plan = FaultPlan.generate(
         seed=PLAN_SEED,
         camera_ids=cameras,

@@ -8,7 +8,8 @@ tests in ``test_freerect_index.py``:
 * **Byte-identical placement decisions** at depth 1024 — probes
   answered by the index equal the linear canvas sweep's (same canvas,
   rectangle, and score; same plans; same final placements) on both
-  canvas structures and all three consolidation policies.
+  canvas structures, under the memo trial and its ``RepackPolicy``
+  oracle.
 * **Per-canvas summaries** — the index's live entries for a canvas are
   exactly that canvas's free rectangles, so any patch the canvas truly
   fits is admitted, and a committed mutation is visible to the very
@@ -26,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.canvas import Canvas
+from repro.core.consolidation import RepackPolicy
 from repro.core.freerect_index import FreeRectIndex, class_lower_bound, size_class
 from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
@@ -99,11 +101,16 @@ def _assert_index_matches_pools(stitcher: IncrementalStitcher) -> None:
 
 
 def _stitcher(structure: str, policy: str, *, use_index: bool, **kw):
+    """``policy`` is ``"memo"`` (the engine's own) or ``"repack"`` (the
+    oracle, installed through the engine's seam)."""
     kw.setdefault("repack_scope", "canvas")
-    return IncrementalStitcher(
+    stitcher = IncrementalStitcher(
         PatchStitchingSolver(canvas_structure=structure),
-        options=SchedulerOptions(consolidation=policy, use_index=use_index, **kw),
+        options=SchedulerOptions(use_index=use_index, **kw),
     )
+    if policy == "repack":
+        stitcher.consolidation_engine.policy = RepackPolicy()
+    return stitcher
 
 
 def _single_canvas_index(canvas: Canvas) -> FreeRectIndex:
@@ -214,7 +221,7 @@ class TestByteIdenticalToLinearSweep:
             assert indexed == linear
             stitcher.add(patch)
 
-    @pytest.mark.parametrize("policy", ["repack", "memo", "merge"])
+    @pytest.mark.parametrize("policy", ["repack", "memo"])
     def test_deep_skyline_streams(self, policy):
         _pin_stream(_rng_patches(1024, seed=13), "skyline", policy)
 
@@ -373,8 +380,8 @@ class TestKnobPlumbing:
 
 # ------------------------------------------------- scheduler-level metrics
 def test_scheduler_metrics_identical_with_and_without_canvas_index():
-    """End-to-end pin on the ``merge`` policy (whose sibling probe uses
-    the index's ``exclude=`` query): a mixed arrival trace through the
+    """End-to-end pin under canvas-scope consolidation (a small patch
+    budget so the trial re-pack runs): a mixed arrival trace through the
     scheduler yields byte-identical batch records with the index on and
     off."""
     from repro.core.latency import LatencyEstimator
@@ -405,7 +412,7 @@ def test_scheduler_metrics_identical_with_and_without_canvas_index():
             options=SchedulerOptions(
                 use_index=use_index,
                 repack_scope="canvas",
-                consolidation="merge",
+                partial_patch_budget=8,
             ),
         )
         for patch, arrival in zip(trace, gen_times):
@@ -415,6 +422,7 @@ def test_scheduler_metrics_identical_with_and_without_canvas_index():
         simulator.run()
         scheduler.flush()
         simulator.run()
+        assert scheduler.consolidation_stats["trial_packs"] > 0
         return [
             (
                 batch.batch_id,

@@ -1,22 +1,22 @@
 """Equivalence and behaviour tests for ``repro.core.consolidation``.
 
-Three contracts are pinned here:
+The engine always runs :class:`MemoPolicy`; :class:`RepackPolicy`, its
+uncached base, is the reference trial, installed through the engine's
+public seam (``stitcher.consolidation_engine.policy = RepackPolicy()``).
+Two contracts are pinned here:
 
-* ``consolidation="repack"`` is the pre-refactor ``_plan_partial_repack``
+* the ``RepackPolicy`` oracle is the pre-refactor ``_plan_partial_repack``
   path, byte-identical: every attempted consolidation produces exactly
   the plan a verbatim reference implementation of the old inline logic
   (rescan-and-sort victim selection, combined-capacity check, trial
   ``pack_within``, and *no* other pre-checks) computes from the same
   state.  This simultaneously proves the new unpairable-patch pre-check
   is decision-neutral: it only rejects pools whose trial pack fails.
-* ``consolidation="memo"`` makes byte-identical decisions to
-  ``"repack"`` — same plan kinds, same victim sets, same final
+* ``MemoPolicy`` makes byte-identical decisions to the
+  ``RepackPolicy`` oracle — same plan kinds, same victim sets, same final
   placements — across randomized streams at depths 64-4096, with the
   retry backoff both armed and disabled.  The cache may only skip trial
   packs whose outcome is already known.
-* ``consolidation="merge"`` may drift, but stays within tight bounds of
-  ``"repack"`` (mean canvas efficiency within 1%, canvas counts within
-  3%) while preserving every packing invariant.
 """
 
 from __future__ import annotations
@@ -26,14 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.consolidation import (
-    CONSOLIDATION_POLICIES,
-    MemoPolicy,
-    MergePolicy,
-    RepackPolicy,
-    make_policy,
-    unpairable,
-)
+from repro.core.consolidation import MemoPolicy, RepackPolicy, unpairable
 from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
 from repro.core.stitching import IncrementalStitcher, PatchStitchingSolver
@@ -82,11 +75,19 @@ def _crowded_mix(count: int, seed: int):
 
 
 def _stitcher(policy: str, retry_backoff: bool = True, **kw) -> IncrementalStitcher:
+    """A canvas-scope stitcher running ``policy``: ``"memo"`` (the
+    engine's own policy) or ``"repack"`` (the oracle, installed through
+    the engine's seam)."""
     kw.setdefault("repack_scope", "canvas")
-    return IncrementalStitcher(
+    stitcher = IncrementalStitcher(
         PatchStitchingSolver(),
-        options=SchedulerOptions(consolidation=policy, retry_backoff=retry_backoff, **kw),
+        options=SchedulerOptions(retry_backoff=retry_backoff, **kw),
     )
+    if policy == "repack":
+        stitcher.consolidation_engine.policy = RepackPolicy()
+    else:
+        assert policy == "memo", policy
+    return stitcher
 
 
 # ------------------------------------------------- pre-refactor reference
@@ -250,100 +251,28 @@ class TestMemoIsByteIdenticalToRepack:
         assert checked > 0, "workload never hit the cache"
 
 
-# ------------------------------------------------------- merge behaviour
-class TestMergePolicy:
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(fitting_sizes, min_size=10, max_size=60))
-    def test_invariants_hold_after_every_arrival(self, size_list):
-        stitcher = _stitcher("merge", partial_patch_budget=8)
-        patches = _patches(size_list)
-        for patch in patches:
-            stitcher.add(patch)
-            PatchStitchingSolver.validate_packing(stitcher.canvases, strict=True)
-        placed = sorted(p.patch_id for c in stitcher.canvases for p in c.patches)
-        assert placed == sorted(p.patch_id for p in patches)
-
-    def test_merge_plans_are_adopted_and_preserve_patches(self):
-        patches = _uniform_mix(1024, seed=19)
-        stitcher = _stitcher("merge")
-        for patch in patches:
-            stitcher.add(patch)
-        assert stitcher.stats["merges"] > 0
-        PatchStitchingSolver.validate_packing(stitcher.canvases, strict=True)
-        placed = sorted(p.patch_id for c in stitcher.canvases for p in c.patches)
-        assert placed == sorted(p.patch_id for p in patches)
-
-    def test_merge_probe_is_pure(self):
-        """Probing a merge plan twice must yield the same plan and leave
-        the packing untouched (clone-based planning)."""
-        patches = _uniform_mix(1024, seed=19)
-        stitcher = _stitcher("merge")
-        merge_patch = None
-        for patch in patches:
-            plan = stitcher.probe(patch)
-            if plan.kind == "merge":
-                merge_patch = patch
-                break
-            stitcher.commit(plan)
-        assert merge_patch is not None, "workload never planned a merge"
-        before = _placement_key(stitcher.canvases)
-        first = stitcher.probe(merge_patch)
-        second = stitcher.probe(merge_patch)
-        assert _placement_key(stitcher.canvases) == before
-        assert first.kind == second.kind == "merge"
-        assert first.victim_indices == second.victim_indices
-        first_moves = [(s, r, p.patch_id) for s, r, p in first.migrations]
-        second_moves = [(s, r, p.patch_id) for s, r, p in second.migrations]
-        assert first_moves == second_moves
-        committed = stitcher.commit(first)
-        PatchStitchingSolver.validate_packing(committed, strict=True)
-
-    def test_merge_keeps_canvas_count_flat(self):
-        """An adopted merge must not change the canvas count (that is its
-        whole value: one fewer canvas than the "new" alternative)."""
-        patches = _uniform_mix(1024, seed=19)
-        stitcher = _stitcher("merge")
-        for patch in patches:
-            plan = stitcher.probe(patch)
-            if plan.kind == "merge":
-                assert plan.canvases_after == stitcher.num_canvases
-                assert plan.equivalent_after == stitcher.equivalent
-            stitcher.commit(plan)
-            assert stitcher.num_canvases == plan.canvases_after
-
-    def test_merge_metrics_drift_is_bounded(self):
-        """The satellite drift bound: mean canvas efficiency within 1% of
-        the repack policy, canvas counts within 3%, on a deep stream."""
-        patches = _uniform_mix(2048, seed=29)
-        repack = _stitcher("repack")
-        merge = _stitcher("merge")
-        for patch in patches:
-            repack.add(patch)
-            merge.add(patch)
-        eff_repack = repack.mean_canvas_efficiency
-        eff_merge = merge.mean_canvas_efficiency
-        assert eff_merge >= 0.99 * eff_repack
-        assert abs(merge.num_canvases - repack.num_canvases) <= max(
-            1, int(0.03 * repack.num_canvases)
-        )
-
-
 # ------------------------------------------------------------ engine unit
 class TestEngineMechanics:
     def test_unknown_policy_raises(self):
-        with pytest.raises(ValueError, match="consolidation"):
-            make_policy("turbo")
-        with pytest.raises(ValueError, match="consolidation"):
-            IncrementalStitcher(
-                PatchStitchingSolver(),
-                options=SchedulerOptions(consolidation="turbo"),
-            )
+        """There is no policy knob: naming one is an unknown field."""
+        with pytest.raises(TypeError, match="consolidation"):
+            SchedulerOptions(consolidation="memo")
+        with pytest.raises(TypeError, match="consolidation"):
+            SchedulerOptions().replace(consolidation="repack")
 
     def test_policy_registry(self):
-        assert CONSOLIDATION_POLICIES == ("repack", "memo", "merge")
-        assert isinstance(make_policy("repack"), RepackPolicy)
-        assert isinstance(make_policy("memo"), MemoPolicy)
-        assert isinstance(make_policy("merge"), MergePolicy)
+        """Every engine runs the memo cache; the oracle seam swaps in the
+        uncached reference trial, which the next attempt then runs."""
+        memo = _stitcher("memo")
+        assert type(memo.consolidation_engine.policy) is MemoPolicy
+        assert isinstance(memo.consolidation_engine.policy, RepackPolicy)
+        oracle = _stitcher("repack", retry_backoff=False)
+        assert type(oracle.consolidation_engine.policy) is RepackPolicy
+        for patch in _crowded_mix(512, seed=5):
+            oracle.add(patch)
+        stats = oracle.consolidation_stats
+        assert stats["trial_packs"] > 0
+        assert stats["memo_rejects"] == 0
 
     def test_unpairable_is_strictly_more_than_half(self):
         canvas = (1024.0, 1024.0)
@@ -411,14 +340,16 @@ class TestEngineMechanics:
         )
 
     def test_worst_slot_peek_does_not_consume_valid_entries(self):
-        stitcher = _stitcher("merge")
+        """Peeking the victim order (worst slot first) and selecting
+        victims leave the heap's valid entries in place."""
+        stitcher = _stitcher("memo")
         for patch in _uniform_mix(64, seed=1):
             stitcher.add(patch)
-        engine = stitcher._consolidation
-        first = engine.worst_slot()
-        second = engine.worst_slot()
-        assert first == second
-        worst = stitcher.canvases[first]
+        engine = stitcher.consolidation_engine
+        first = engine.heap_entries()
+        engine.select_victims(_patches([(900.0, 900.0)])[0])
+        assert engine.heap_entries() == first
+        worst = stitcher.canvases[first[0][1]]
         assert all(
             worst.efficiency <= canvas.efficiency + 1e-9
             for canvas in stitcher.canvases
@@ -448,12 +379,12 @@ class TestEngineMechanics:
             solver,
             options=SchedulerOptions(
                 repack_scope="canvas",
-                consolidation="repack",
                 retry_backoff=False,
                 max_partial_victims=2,
                 partial_patch_budget=5,
             ),
         )
+        stitcher.consolidation_engine.policy = RepackPolicy()
         # Two victims, each 100x40 + 100x35 (a 100x25 strip left), plus
         # three near-full canvases keeping the victims at the heap root
         # and the queue past the patch budget.
@@ -488,12 +419,12 @@ class TestKnobPlumbing:
     def test_endtoend_config_validates_policy(self):
         from repro.pipeline.endtoend import EndToEndConfig
 
-        with pytest.raises(ValueError, match="consolidation"):
-            EndToEndConfig(scheduler_options=SchedulerOptions(consolidation="turbo"))
+        with pytest.raises(TypeError, match="consolidation"):
+            EndToEndConfig(scheduler_options=SchedulerOptions(consolidation="memo"))
         config = EndToEndConfig(
-            scheduler_options=SchedulerOptions(repack_scope="canvas", consolidation="merge"),
+            scheduler_options=SchedulerOptions(repack_scope="canvas", retry_backoff=False),
         )
-        assert config.scheduler_options.consolidation == "merge"
+        assert config.scheduler_options.retry_backoff is False
 
     def test_tangram_config_reaches_the_stitcher(self):
         from repro.core.tangram import Tangram, TangramConfig
@@ -501,14 +432,15 @@ class TestKnobPlumbing:
         from repro.simulation.engine import Simulator
 
         config = TangramConfig(
-            scheduler_options=SchedulerOptions(repack_scope="canvas", consolidation="merge"),
+            scheduler_options=SchedulerOptions(repack_scope="canvas", retry_backoff=False),
         )
         tangram = Tangram(config=config)
         simulator = Simulator()
         platform = ServerlessPlatform(simulator)
         scheduler = tangram.build_online_scheduler(simulator, platform)
-        assert scheduler._packer.options.consolidation == "merge"
-        assert isinstance(scheduler._packer._consolidation.policy, MergePolicy)
+        engine = scheduler._packer.consolidation_engine
+        assert engine.retry_backoff is False
+        assert type(engine.policy) is MemoPolicy
 
     def test_scheduler_exposes_consolidation_stats(self):
         from repro.core.scheduler import TangramScheduler

@@ -3,9 +3,10 @@
 The fault matrix itself lives in ``tests/chaos`` behind ``RUN_CHAOS=1``;
 here we pin the healthy path: full delivery, determinism, the workload's
 purity, and watermark degradation under plain overload (no faults) --
-plus golden literals of three runs (fault-free, chaos with liveness, and
-merge consolidation with an admission watermark) recorded from the
-original single-scheduler runner before the sharded runner replaced it.
+plus golden literals of three runs: fault-free and chaos with liveness,
+recorded from the original single-scheduler runner before the sharded
+runner replaced it, and a starved uplink with canvas-scope consolidation
+and an admission watermark, which pins scheduler-side shedding.
 """
 
 from __future__ import annotations
@@ -190,9 +191,9 @@ def _golden_configs():
                 burst_multiplier=3.0,
             ),
         ),
-        # A starved uplink and deep canvases: merges fire and the
-        # admission watermark sheds doomed arrivals.
-        "merge_watermark": (
+        # A starved uplink and deep canvases: the admission watermark
+        # sheds doomed arrivals.
+        "memo_watermark": (
             FleetScenarioConfig(
                 workload=FleetWorkloadConfig(
                     num_cameras=24,
@@ -205,7 +206,7 @@ def _golden_configs():
                 bandwidth_mbps=1.0,
                 gpu_memory_gb=24.0,
                 scheduler_options=SchedulerOptions(
-                    repack_scope="canvas", consolidation="merge", admission_watermark=4
+                    repack_scope="canvas", admission_watermark=4
                 ),
                 **pinned,
             ),
@@ -250,7 +251,7 @@ GOLDEN = {
             "liveness_dead": 11, "liveness_reconnecting": 3, "liveness_suspect": 3,
         },
     ),
-    "merge_watermark": (
+    "memo_watermark": (
         "b53566aba39e38f18817a79edd17229ef7ca4d314857fd8514f3935144e8edb5",
         {
             "expected_base": 1152, "captured_base": 1152, "suppressed_base": 0,

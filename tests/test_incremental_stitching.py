@@ -376,7 +376,7 @@ class TestAdaptiveBudget:
         for patch in patches:
             plan = stitcher.probe(patch)
             stitcher.commit(plan)
-            if plan.kind in ("partial", "merge", "repack"):
+            if plan.kind in ("partial", "repack"):
                 assert stitcher._overflow_streak == 0
                 if len(stitcher.patches) > 8 * 48:
                     saw_deep_reset = True

@@ -1,28 +1,23 @@
 """The cross-policy equivalence matrix: one parametrised stream test.
 
-The knob grid the arrival path now exposes — 2 canvas structures
-(``skyline``/``guillotine``) x 3 consolidation policies
-(``repack``/``memo``/``merge``) x probe index on/off (the size-class
-free-rectangle index vs the linear sweep) — is pinned here as
+The grid the arrival path exposes — 2 canvas structures
+(``skyline``/``guillotine``) x 2 consolidation trials (the engine's
+``memo`` cache and its uncached ``repack`` oracle, installed through
+``stitcher.consolidation_engine.policy``) x probe index on/off (the
+size-class free-rectangle index vs the linear sweep) — is pinned here as
 the **single source of truth** for the documented metric contracts,
 replacing the per-PR pairwise pins scattered across earlier suites (the
 byte-level pins those suites carry remain; this matrix is the one place
 the *metric* contracts live):
 
 * ``memo`` is byte-identical to ``repack`` and the index is
-  byte-identical to the linear sweep, so within one structure the four
-  repack/memo combos must produce *exactly* the same placements, and
-  each indexed ``merge`` combo the same placements as its linear arm;
-* ``merge`` may drift, bounded by mean canvas efficiency within 1% of
-  the structure's ``repack`` reference and canvas counts within 3%
-  (the PR-4 contract, now asserted per structure and per index arm);
+  byte-identical to the linear sweep, so within one structure all four
+  combos must produce *exactly* the same placements;
 * across structures, the references track each other within the PR-3
   bounds (canvas counts within 5%, mean efficiency ratio >= 0.97).
 
 Depth 2048 on the benchmark's uniform fleet distribution: deep enough
-that every combo exercises genuine victim consolidation (asserted), and
-the depth at which the merge drift bound is seed-robust (at 1024 the
-per-seed variance crosses 1%).
+that every combo exercises genuine victim consolidation (asserted).
 """
 
 from __future__ import annotations
@@ -33,6 +28,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.consolidation import RepackPolicy
 from repro.core.options import SchedulerOptions
 from repro.core.patches import Patch
 from repro.core.stitching import IncrementalStitcher, PatchStitchingSolver
@@ -42,7 +38,7 @@ DEPTH = 2048
 SEED = 43
 
 STRUCTURES = ("skyline", "guillotine")
-POLICIES = ("repack", "memo", "merge")
+POLICIES = ("repack", "memo")
 INDEX_ARMS = (True, False)  # free-rectangle index on / linear sweep
 
 
@@ -66,23 +62,17 @@ def _run(structure: str, policy: str, use_index: bool):
     patches = _stream()
     stitcher = IncrementalStitcher(
         PatchStitchingSolver(canvas_structure=structure),
-        options=SchedulerOptions(
-            repack_scope="canvas",
-            consolidation=policy,
-            use_index=use_index,
-        ),
+        options=SchedulerOptions(repack_scope="canvas", use_index=use_index),
     )
+    if policy == "repack":
+        stitcher.consolidation_engine.policy = RepackPolicy()
     for patch in patches:
         stitcher.add(patch)
     PatchStitchingSolver.validate_packing(stitcher.canvases, strict=True)
     placed = sorted(p.patch_id for c in stitcher.canvases for p in c.patches)
     assert placed == sorted(p.patch_id for p in patches), "patches lost"
     key = [(p.patch.patch_id, p.x, p.y) for c in stitcher.canvases for p in c.placements]
-    consolidations = (
-        stitcher.stats["partial_repacks"]
-        + stitcher.stats["merges"]
-        + stitcher.stats["full_repacks"]
-    )
+    consolidations = stitcher.stats["partial_repacks"] + stitcher.stats["full_repacks"]
     return {
         "canvases": stitcher.num_canvases,
         "efficiency": stitcher.mean_canvas_efficiency,
@@ -117,19 +107,9 @@ def test_matrix_metric_contracts(structure, policy, use_index):
     reference = _result(structure, "repack", False)
     combo = _result(structure, policy, use_index)
     assert combo["consolidations"] > 0, "combo never exercised consolidation"
-    if policy in ("repack", "memo"):
-        # Byte-identical contracts compose: memo == repack and index ==
-        # linear sweep, so the whole quadrant is one packing.
-        assert combo["key"] == reference["key"]
-        return
-    if use_index:
-        # The index is exact under merge's sibling probes too.
-        assert combo["key"] == _result(structure, policy, False)["key"]
-    # "merge" may drift, within the documented bounds.
-    assert combo["efficiency"] >= 0.99 * reference["efficiency"]
-    assert abs(combo["canvases"] - reference["canvases"]) <= max(
-        1, math.ceil(0.03 * reference["canvases"])
-    )
+    # Byte-identical contracts compose: memo == repack and index ==
+    # linear sweep, so the whole quadrant is one packing.
+    assert combo["key"] == reference["key"]
 
 
 def test_structures_track_each_other():
@@ -240,9 +220,9 @@ def test_fault_free_fleet_ingest_is_byte_identical():
 # (times, cost, efficiencies, placements, outcome identities) and counters
 # are pinned below as recorded literals.  ``shards=4`` partitions the
 # stream across four independent packers, so its packing may drift, but
-# only within the same contract bounds the merge policy is held to above:
-# mean canvas efficiency within 1% of the single-scheduler reference and
-# canvas counts within 3%.
+# only within the drift contract the matrix once held a drifting
+# consolidation policy to (hence the test's name): mean canvas efficiency
+# within 1% of the single-scheduler reference and canvas counts within 3%.
 #
 # The 4-shard cell runs a 128-camera / 16 fps fleet: parity is a
 # saturation property (each shard's arrival rate must still fill

@@ -48,7 +48,6 @@ class TestSchedulerOptionsRecord:
         options = SchedulerOptions()
         assert options.drift_margin == 0.05
         assert options.repack_scope == "queue"
-        assert options.consolidation == "memo"
         assert options.retry_backoff is True
         assert options.use_index is True
         assert options.adaptive_budget is False
@@ -63,7 +62,7 @@ class TestSchedulerOptionsRecord:
         [
             {"drift_margin": -0.1},
             {"repack_scope": "galaxy"},
-            {"consolidation": "nope"},
+            {"partial_patch_budget": -4},
             {"canvas_structure": "voronoi"},
             {"max_partial_victims": 0},
             {"partial_patch_budget": 1},
@@ -79,8 +78,8 @@ class TestSchedulerOptionsRecord:
             SchedulerOptions().drift_margin = 0.2  # type: ignore[misc]
 
     def test_replace_revalidates(self):
-        options = SchedulerOptions().replace(consolidation="merge")
-        assert options.consolidation == "merge"
+        options = SchedulerOptions().replace(retry_backoff=False)
+        assert options.retry_backoff is False
         with pytest.raises(ValueError):
             options.replace(repack_scope="galaxy")
 
@@ -115,7 +114,7 @@ class TestConfigCarriers:
         from repro.serverless.platform import ServerlessPlatform
         from repro.simulation.engine import Simulator
 
-        record = SchedulerOptions(consolidation="merge", canvas_structure="guillotine")
+        record = SchedulerOptions(retry_backoff=False, canvas_structure="guillotine")
         tangram = Tangram(TangramConfig(latency_profile_iterations=10, scheduler_options=record))
         simulator = Simulator()
         scheduler = tangram.build_online_scheduler(simulator, ServerlessPlatform(simulator))

@@ -5,9 +5,9 @@ The tentpole contracts (ISSUE 8):
 * the extended balancer policies (``consistent_hash``, ``least_loaded``)
   behave as dispatchers: sticky, deterministic, and stable under target
   addition (consistent hashing moves only a minority of keys);
-* the router's work-stealing trial follows the merge policy's clone-based
-  planning shape: it commits only migrations whose planned loads leave
-  the target strictly colder than the source, and never overshoots;
+* the router's work-stealing trial plans on copied loads before it
+  commits: it commits only migrations whose planned loads leave the
+  target strictly colder than the source, and never overshoots;
 * ``shards=1`` is **byte-identical** to the single-scheduler path --
   the per-batch keys (times, cost, efficiencies, placements, outcomes)
   and counters recorded from the original unsharded runner;
